@@ -5,7 +5,7 @@ from sekit.bundles import BundleError, ProblemBundle
 from sekit.core import Domain
 from sekit.experience import Dataset, parse_rule
 from sekit.models import ConditionalSoftmaxModel
-from sekit.recipes import (IncompatiblePair, NotFound, Recipe,
+from sekit.recipes import (IncompatiblePair, NotFound, Recipe, _em_deviation,
                            check_equivalence, get_recipe, registry, run_recipe)
 
 EXPECTED_NAMES = {
@@ -80,6 +80,17 @@ class TestChecks:
                                 1e-10, seed=3)
         assert rep["passed"], rep
         assert rep["details"]["nll_monotone"]
+
+    def test_em_nll_one_ulp_rise_is_monotone(self):
+        # |X| = 1000 with ~10 counts per symbol gives an NLL near 6e4, where
+        # one ulp is 7.3e-12: a converged EM step can round up by that much
+        nll = [6.0e4, np.nextafter(6.0e4, np.inf)]
+        assert _em_deviation(1e-15, nll) == (1e-15, True)
+
+    def test_em_nll_rise_beyond_rounding_is_infinite(self):
+        nll = [6.0e4, 6.0e4 + 8 * np.spacing(6.0e4)]
+        dev, monotone = _em_deviation(1e-15, nll)
+        assert dev == np.inf and not monotone
 
     def test_reweighting(self, rng):
         dom = Domain.of_size(6)
