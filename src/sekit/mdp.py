@@ -1,9 +1,11 @@
 """Exact tabular MDP machinery: Q-functions, discounted visitation measures,
 the analytic policy gradient, and reward experience functions.
 
-Everything is solved by direct dense linear algebra so oracle comparisons are
-exact; value iteration (tolerance 1e-10) is the fallback for systems larger
-than 4000 state-action pairs.
+A policy is evaluated in state space at every size: one dense S x S solve
+(I - gamma T_pi) V = r_pi gives V, and Q = r + gamma P V follows (Puterman,
+Markov Decision Processes, 1994, sec. 6.1).  Solves are exact, so oracle
+comparisons are too; a Q that misses its Bellman equation by more than
+BELLMAN_TOL raises BellmanResidual.
 """
 from __future__ import annotations
 
@@ -18,11 +20,18 @@ from .experience import ExperienceFn
 from .models import ConditionalSoftmaxModel
 
 BELLMAN_TOL = 1e-8
-DENSE_LIMIT = 4000
 
 
 class SingularSystem(ValueError):
     pass
+
+
+class BellmanResidual(ValueError):
+    """A solved Q misses Q = r + gamma P V by more than BELLMAN_TOL."""
+
+    def __init__(self, residual: float):
+        super().__init__(f"Bellman residual {residual:.3g} exceeds {BELLMAN_TOL:g}")
+        self.residual = residual
 
 
 class NonPositiveQ(ValueError):
@@ -119,48 +128,39 @@ def _pi_matrix(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> np.ndarray:
     return pi
 
 
-def _transition_sa(mdp: TabularMDP, pi: np.ndarray) -> np.ndarray:
-    """(SA) x (SA) matrix M[(s,a),(s',a')] = P(s'|s,a) pi(a'|s')."""
-    S, A = mdp.n_states, mdp.n_actions
-    M = np.einsum("ijk,kl->ijkl", mdp.transitions, pi)
-    return M.reshape(S * A, S * A)
+def _state_transitions(mdp: TabularMDP, pi: np.ndarray) -> np.ndarray:
+    """S x S matrix T[s, s'] = sum_a pi(a|s) P(s'|s,a)."""
+    return np.einsum("ij,ijk->ik", pi, mdp.transitions)
+
+
+def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(M, b)
+    except np.linalg.LinAlgError as exc:  # cannot occur for gamma < 1
+        raise SingularSystem(str(exc)) from exc
 
 
 def q_function(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> QTable:
-    """Solve the linear Bellman system Q = r + gamma P Pi Q exactly."""
-    S, A = mdp.n_states, mdp.n_actions
+    """Exact Q of the policy from the state-space Bellman system.
+
+    Solves (I - gamma T_pi) V = sum_a pi r, then sets Q = r + gamma P V.
+    Raises BellmanResidual if the result misses its Bellman equation by more
+    than BELLMAN_TOL.
+    """
     pi = _pi_matrix(mdp, policy)
-    n = S * A
-    if n <= DENSE_LIMIT:
-        M = np.eye(n) - mdp.gamma * _transition_sa(mdp, pi)
-        try:
-            qvec = np.linalg.solve(M, mdp.rewards.ravel())
-        except np.linalg.LinAlgError as exc:  # cannot occur for gamma < 1
-            raise SingularSystem(str(exc)) from exc
-        q = qvec.reshape(S, A)
-    else:
-        q = np.zeros((S, A))
-        while True:
-            v = (pi * q).sum(axis=1)
-            new_q = mdp.rewards + mdp.gamma * mdp.transitions @ v
-            if np.max(np.abs(new_q - q)) < 1e-10:
-                q = new_q
-                break
-            q = new_q
-    table = QTable(q, mdp, policy)
-    assert table.bellman_residual() <= BELLMAN_TOL
+    M = np.eye(mdp.n_states) - mdp.gamma * _state_transitions(mdp, pi)
+    v = _solve(M, (pi * mdp.rewards).sum(axis=1))
+    table = QTable(mdp.rewards + mdp.gamma * mdp.transitions @ v, mdp, policy)
+    residual = table.bellman_residual()
+    if not residual <= BELLMAN_TOL:
+        raise BellmanResidual(residual)
     return table
 
 
 def visitation(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> np.ndarray:
     """Unnormalized discounted state visitation mu = p0 + gamma T^T mu."""
-    pi = _pi_matrix(mdp, policy)
-    T = np.einsum("ij,ijk->ik", pi, mdp.transitions)  # state-to-state
-    try:
-        mu = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * T.T, mdp.p0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return mu
+    T = _state_transitions(mdp, _pi_matrix(mdp, policy))
+    return _solve(np.eye(mdp.n_states) - mdp.gamma * T.T, mdp.p0)
 
 
 def exact_policy_gradient(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> np.ndarray:
@@ -186,24 +186,20 @@ def grad_q_logits(mdp: TabularMDP, policy: ConditionalSoftmaxModel,
                   q: Optional[np.ndarray] = None) -> np.ndarray:
     """dQ(s,a)/dtheta(s~,b): analytic derivative of the Bellman solution.
 
-    Returns a (S, A, S, A) tensor.  Differentiates Q = (I - gamma P_pi)^-1 r
-    through the policy-dependent transition operator.
+    Returns a (S, A, S, A) tensor.  With Q = r + gamma P V and
+    V = (I - gamma T_pi)^-1 r_pi, theta(s~, b) moves only row s~ of pi, so
+        dQ[:, :, s~, b] = gamma P (I - gamma T_pi)^-1[:, s~]
+                          * pi(b|s~) (Q(s~,b) - V(s~)).
     """
-    S, A = mdp.n_states, mdp.n_actions
+    S = mdp.n_states
     pi = _pi_matrix(mdp, policy)
     if q is None:
         q = q_function(mdp, policy).q
-    n = S * A
-    Minv = np.linalg.inv(np.eye(n) - mdp.gamma * _transition_sa(mdp, pi))
-    # dpi(a'|s~)/dtheta(s~,b) = pi(a'|s~) (1[a'=b] - pi(b|s~))
-    grad = np.zeros((S, A, S, A))
-    for s_t in range(S):
-        for b in range(A):
-            dpi = pi[s_t] * (np.arange(A) == b) - pi[s_t] * pi[s_t, b]  # (A,)
-            # d(P_pi Q)[(s,a)] = P(s~|s,a) * sum_a' dpi(a') Q(s~,a')
-            rhs = mdp.transitions[:, :, s_t] * (dpi @ q[s_t])  # (S, A)
-            grad[:, :, s_t, b] = (mdp.gamma * Minv @ rhs.ravel()).reshape(S, A)
-    return grad
+    Minv = _solve(np.eye(S) - mdp.gamma * _state_transitions(mdp, pi), np.eye(S))
+    # dpi(a'|s~)/dtheta(s~,b) = pi(a'|s~) (1[a'=b] - pi(b|s~)), so the
+    # derivative of r_pi + gamma T_pi V at s~ is pi(b|s~) (Q(s~,b) - V(s~))
+    advantage = pi * (q - (pi * q).sum(axis=1, keepdims=True))  # (S~, B)
+    return (mdp.gamma * mdp.transitions @ Minv)[:, :, :, None] * advantage
 
 
 def f_reward(mdp: TabularMDP, mode: str = "log_q",

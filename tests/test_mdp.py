@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from sekit import mdp as mdp_module
 from sekit.core import Domain
-from sekit.mdp import (NonPositiveQ, TabularMDP, exact_policy_gradient,
-                       f_reward, grad_q_logits, policy_value, q_function,
-                       visitation)
+from sekit.mdp import (BELLMAN_TOL, BellmanResidual, NonPositiveQ, TabularMDP,
+                       exact_policy_gradient, f_reward, grad_q_logits,
+                       policy_value, q_function, visitation)
 from sekit.models import ConditionalSoftmaxModel
 from sekit.oracles import finite_difference_gradient, reinforce_gradient
 
@@ -50,6 +51,34 @@ class TestQFunction:
             q = small_mdp.rewards + small_mdp.gamma * small_mdp.transitions @ v
         assert np.max(np.abs(q - table.q)) <= 1e-9
 
+    def test_large_mdp_matches_value_iteration(self):
+        # 4800 state-action pairs: exact at every size, no iterative fallback
+        g = np.random.default_rng(7)
+        S, A = 600, 8
+        P = np.zeros((S, A, S))
+        for s in range(S):
+            for a in range(A):
+                succ = g.choice(S, size=5, replace=False)
+                P[s, a, succ] = g.dirichlet(np.ones(5))
+        mdp = TabularMDP(P, g.random((S, A)), 0.9, np.ones(S) / S)
+        policy = random_policy(mdp, g)
+        table = q_function(mdp, policy)
+        assert table.bellman_residual() <= 1e-10
+        pi = policy.probs()
+        P2 = mdp.transitions.reshape(S * A, S)
+        q = np.zeros((S, A))
+        for _ in range(300):  # 0.9**300 * max|Q| is far below 1e-9
+            q = mdp.rewards + mdp.gamma * (P2 @ (pi * q).sum(axis=1)).reshape(S, A)
+        assert np.max(np.abs(q - table.q)) <= 1e-9
+
+    def test_bad_solve_raises_bellman_residual(self, small_mdp, rng, monkeypatch):
+        solve = mdp_module._solve
+        monkeypatch.setattr(mdp_module, "_solve", lambda M, b: solve(M, b) + 1e-3)
+        with pytest.raises(BellmanResidual) as info:
+            q_function(small_mdp, random_policy(small_mdp, rng))
+        assert info.value.residual > BELLMAN_TOL
+        assert isinstance(info.value, ValueError)
+
 
 class TestVisitation:
     def test_mass_is_geometric_series(self, small_mdp, rng):
@@ -94,6 +123,26 @@ class TestGradQ:
                 ).q[s, a],
                 policy.theta)
             assert np.max(np.abs(tensor[s, a] - fd)) <= 1e-6
+
+    def test_matches_dense_state_action_inverse(self):
+        g = np.random.default_rng(3)
+        S, A = 20, 3
+        mdp = TabularMDP(g.dirichlet(np.ones(S), size=(S, A)), g.random((S, A)),
+                         0.9, np.ones(S) / S)
+        policy = random_policy(mdp, g, scale=1.0)
+        pi = policy.probs()
+        q = q_function(mdp, policy).q
+        # dQ = gamma (I - gamma M)^-1 dM Q on the (S*A) x (S*A) operator
+        # M[(s,a),(s',a')] = P(s'|s,a) pi(a'|s')
+        M = np.einsum("ijk,kl->ijkl", mdp.transitions, pi).reshape(S * A, S * A)
+        Minv = np.linalg.inv(np.eye(S * A) - mdp.gamma * M)
+        dense = np.zeros((S, A, S, A))
+        for s_t in range(S):
+            for b in range(A):
+                dpi = pi[s_t] * (np.arange(A) == b) - pi[s_t] * pi[s_t, b]
+                rhs = mdp.transitions[:, :, s_t] * (dpi @ q[s_t])
+                dense[:, :, s_t, b] = (mdp.gamma * Minv @ rhs.ravel()).reshape(S, A)
+        assert np.max(np.abs(grad_q_logits(mdp, policy) - dense)) <= 1e-12
 
 
 class TestFReward:
