@@ -16,13 +16,9 @@ from scipy.special import logsumexp
 from .core import Dist, normalize_log
 from .divergence import DivergenceFn, divergence
 from .models import SoftmaxModel
-from .solver import Trace
+from .solver import ModeUnsupported, Trace
 
 MODES = ("classifier", "critic", "lipschitz_critic")
-
-
-class ModeUnsupported(ValueError):
-    pass
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -93,6 +93,12 @@ class Domain:
         return Domain(labels, (len(x_labels), len(y_labels)))
 
 
+def safe_log(x: np.ndarray) -> np.ndarray:
+    """Elementwise log with log(0) = -inf exactly and no divide warning."""
+    with np.errstate(divide="ignore"):
+        return np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
+
+
 class Dist:
     """An exact probability vector with a consistent log-space companion.
 
@@ -134,9 +140,7 @@ class Dist:
     @classmethod
     def from_probs(cls, p) -> "Dist":
         p = np.asarray(p, dtype=float)
-        with np.errstate(divide="ignore"):
-            logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
-        return cls(logp, _p=p)
+        return cls(safe_log(p), _p=p)
 
     @classmethod
     def uniform(cls, n: int) -> "Dist":

@@ -157,9 +157,9 @@ def _h_star_js(phi: np.ndarray, p_d: Dist) -> np.ndarray:
         return float(np.sum(p * u / (2.0 - u)))
 
     lo = float(np.max(phi)) - 0.5 * np.log(2.0) + 1e-12
+    # hi brackets the root: there every u_i <= exp(2 (-1 + 0.5 log 2)) = 2/e^2
+    # ~ 0.27, and p sums to 1, so mass(hi) <= 0.27 / (2 - 0.27) ~ 0.16 < 1.
     hi = lo + 1.0
-    while mass(hi) > 1.0:
-        hi += 1.0
     # mass(lo+) -> inf, mass decreasing in c
     for _ in range(200):
         mid = 0.5 * (lo + hi)

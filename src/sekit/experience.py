@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import Domain
+from .core import Domain, safe_log
 from .models import ConditionalSoftmaxModel
 
 
@@ -124,14 +124,9 @@ class Dataset:
         return cls(domain, counts, weights)
 
 
-def _log_of(v: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(v > 0, np.log(np.where(v > 0, v, 1.0)), -np.inf)
-
-
 def f_data(dataset: Dataset) -> ExperienceFn:
     """f(t) = log(m(t) / N): log empirical frequency, -inf off support."""
-    return ExperienceFn.from_vector(dataset.domain, _log_of(dataset.empirical()),
+    return ExperienceFn.from_vector(dataset.domain, safe_log(dataset.empirical()),
                                     name="data")
 
 
@@ -152,7 +147,7 @@ def f_data_self(dataset: Dataset, split: Callable[[int], Tuple[int, int]],
             raise SplitOutOfRange(f"split({t}) = ({x}, {y}) outside {nx}x{ny}")
         pair_counts[product_domain.pair(x, y)] += m
     return ExperienceFn.from_vector(product_domain,
-                                    _log_of(pair_counts / dataset.n_data),
+                                    safe_log(pair_counts / dataset.n_data),
                                     name="data-self")
 
 
@@ -166,7 +161,7 @@ def f_data_weighted(dataset: Dataset, weights=None) -> ExperienceFn:
     scaled = dataset.empirical() * w
     if scaled.sum() == 0:
         raise AllZeroWeights("all weights vanish on the dataset support")
-    return ExperienceFn.from_vector(dataset.domain, _log_of(scaled), name="data-w")
+    return ExperienceFn.from_vector(dataset.domain, safe_log(scaled), name="data-w")
 
 
 def f_data_augmented(dataset: Dataset, kernel: np.ndarray) -> ExperienceFn:
@@ -184,7 +179,7 @@ def f_data_augmented(dataset: Dataset, kernel: np.ndarray) -> ExperienceFn:
     if np.all(kernel[support] == 0):
         raise DegenerateKernel("kernel vanishes on the dataset support")
     smoothed = dataset.empirical() @ kernel
-    return ExperienceFn.from_vector(dataset.domain, _log_of(smoothed), name="data-aug")
+    return ExperienceFn.from_vector(dataset.domain, safe_log(smoothed), name="data-aug")
 
 
 def raml_kernel(payoff: np.ndarray) -> np.ndarray:
@@ -217,7 +212,7 @@ def f_active(pool: Dataset, oracle: Callable[[int], int], u: np.ndarray,
             raise DomainMismatch(f"oracle label {y} outside Y")
         joint[product_domain.pair(x, y)] += m / pool.n_data
     bonus = np.repeat(lam * u, ny)
-    return ExperienceFn.from_vector(product_domain, _log_of(joint) + bonus,
+    return ExperienceFn.from_vector(product_domain, safe_log(joint) + bonus,
                                     name="active")
 
 
@@ -228,7 +223,7 @@ def selection_distribution(pool: Dataset, u: np.ndarray, lam: float) -> np.ndarr
     index on ties).
     """
     u = np.asarray(u, dtype=float)
-    scores = _log_of(pool.empirical()) + lam * u
+    scores = safe_log(pool.empirical()) + lam * u
     if lam >= 1e5:
         support = pool.counts > 0
         best = np.max(u[support])
@@ -371,7 +366,7 @@ def f_model_mimic(inputs: Dataset, source: ConditionalSoftmaxModel) -> Experienc
     nx, ny = domain.factor_sizes
     if inputs.domain.size != nx:
         raise DomainMismatch("input dataset must live on the X factor")
-    log_emp = _log_of(inputs.empirical())
+    log_emp = safe_log(inputs.empirical())
     v = (log_emp[:, None] + source.log_probs()).ravel()
     return ExperienceFn.from_vector(domain, v, name="model-mimic")
 

@@ -12,7 +12,7 @@ from typing import Tuple, Union
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import Dist, Domain
+from .core import Dist, Domain, safe_log
 
 
 class IndexOutOfRange(IndexError):
@@ -109,9 +109,7 @@ class ConditionalSoftmaxModel:
 
     def joint_log_probs(self, p_x: np.ndarray) -> np.ndarray:
         """log[p(y|x) p_x(x)] flattened with t = x * |Y| + y."""
-        p_x = np.asarray(p_x, dtype=float)
-        with np.errstate(divide="ignore"):
-            log_px = np.where(p_x > 0, np.log(np.where(p_x > 0, p_x, 1.0)), -np.inf)
+        log_px = safe_log(np.asarray(p_x, dtype=float))
         return (self.log_probs() + log_px[:, None]).ravel()
 
     def with_theta(self, theta: np.ndarray) -> "ConditionalSoftmaxModel":
@@ -240,25 +238,21 @@ def exact_fit(model: Model, q: Dist) -> Model:
         q_xy = q.p.reshape(nx, ny)
         q_x = q_xy.sum(axis=1)
         theta = model.theta.copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for x in range(nx):
-                if q_x[x] > 0:
-                    cond = q_xy[x] / q_x[x]
-                    theta[x] = np.where(cond > 0, np.log(np.where(cond > 0, cond, 1.0)), -np.inf)
+        for x in range(nx):
+            if q_x[x] > 0:
+                theta[x] = safe_log(q_xy[x] / q_x[x])
         return model.with_theta(theta)
     if isinstance(model, MixtureModel):
         nx, k = model.domain.factor_sizes
         q_xy = q.p.reshape(nx, k)
         q_y = q_xy.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mix = np.where(q_y > 0, np.log(np.where(q_y > 0, q_y, 1.0)), -np.inf)
-            comp = np.empty((k, nx))
-            for y in range(k):
-                if q_y[y] > 0:
-                    c = q_xy[:, y] / q_y[y]
-                    comp[y] = np.where(c > 0, np.log(np.where(c > 0, c, 1.0)), -np.inf)
-                else:
-                    comp[y] = model.component_logits[y]
+        mix = safe_log(q_y)
+        comp = np.empty((k, nx))
+        for y in range(k):
+            if q_y[y] > 0:
+                comp[y] = safe_log(q_xy[:, y] / q_y[y])
+            else:
+                comp[y] = model.component_logits[y]
         return model.with_logits(mix, comp)
     raise TypeError(f"unsupported model type {type(model)!r}")
 

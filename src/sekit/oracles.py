@@ -206,25 +206,3 @@ def brute_force_w1(q: np.ndarray, p: np.ndarray, coords: np.ndarray) -> float:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return float(res.fun)
 
-
-def exhaustive_argmin_simplex(objective: Callable[[np.ndarray], float],
-                              n: int, grid: int = 60) -> np.ndarray:
-    """Brute-force minimizer over a barycentric grid on the (n-1)-simplex.
-
-    Only sensible for n <= 4; used to sanity-check teacher optima.
-    """
-    best, best_val = None, np.inf
-
-    def rec(prefix, remaining, slots):
-        nonlocal best, best_val
-        if slots == 1:
-            point = np.array(prefix + [remaining]) / grid
-            val = objective(point)
-            if val < best_val:
-                best, best_val = point, val
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], grid, n)
-    return best

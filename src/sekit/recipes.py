@@ -19,7 +19,7 @@ from .adversarial import (Discriminator, adversarial_run,
                           reweighted_discriminator_gradient,
                           discriminator_gradient, tilted_q)
 from .bundles import ProblemBundle
-from .core import Dist, Domain, normalize_log
+from .core import Dist, Domain, normalize_log, safe_log
 from .divergence import CE, JS, KL, DivergenceFn, divergence
 from .experience import (Dataset, ExperienceFn, combine, f_active, f_data,
                          f_data_augmented, f_data_self, f_data_weighted,
@@ -218,7 +218,7 @@ def _run_unsupervised(bundle: ProblemBundle, seed: int, iters: int = 20,
                           tuple(f"k{j}" for j in range(k)))
     p_x = bundle.dataset.empirical()
     # f(x, y) = log empirical(x), constant in the latent coordinate
-    f_vec = np.repeat(np.where(p_x > 0, np.log(np.where(p_x > 0, p_x, 1.0)), -np.inf), k)
+    f_vec = np.repeat(safe_log(p_x), k)
     fn = ExperienceFn.from_vector(prod, f_vec, name="data-unsup")
     rec = get_recipe("unsupervised-mle")
     config = replace(rec.config, alpha=alpha, experience=fn, seed=seed,

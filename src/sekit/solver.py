@@ -2,9 +2,10 @@
 
     min_{q, theta}  -alpha H(q) + beta D(q, p_theta) - E_q[f]
 
-plus its solver variants (mirror-descent teacher, mean-field, sleep-phase,
-importance-sampling student), the multiplicative-weights online loop, and the
-dynamic schedule that interpolates between configurations.
+plus its solver variants (mirror-descent and mean-field teachers, the
+sleep-phase fit of a parametric q, importance-sampling student), the
+multiplicative-weights online loop, and the dynamic schedule that interpolates
+between configurations.
 """
 from __future__ import annotations
 
@@ -26,10 +27,6 @@ from .models import (ConditionalSoftmaxModel, MixtureModel, Model,
 DEFAULT_EPSILON = 1e-8  # the "very small positive" beta of the MLE recipes
 
 
-class NonConvergence(RuntimeError):
-    pass
-
-
 class ModeUnsupported(ValueError):
     pass
 
@@ -48,7 +45,7 @@ class SEConfig:
     divergence: DivergenceFn = CE
     uncertainty: UncertaintyFn = SHANNON
     experience: Optional[ExperienceFn] = None
-    teacher: str = "closed_form"  # closed_form | mirror_descent | mean_field | sleep_phase
+    teacher: str = "closed_form"  # closed_form | mirror_descent | mean_field
     student: str = "exact"  # exact | gradient | importance_sampling
     student_steps: int = 50
     student_step_size: float = 1.0
@@ -64,7 +61,7 @@ class SEConfig:
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if self.teacher not in ("closed_form", "mirror_descent", "mean_field", "sleep_phase"):
+        if self.teacher not in ("closed_form", "mirror_descent", "mean_field"):
             raise ValueError(f"unknown teacher mode {self.teacher!r}")
         if self.student not in ("exact", "gradient", "importance_sampling"):
             raise ValueError(f"unknown student mode {self.student!r}")
@@ -191,7 +188,7 @@ def teacher_mirror_descent(p_theta: Dist, f_vals: np.ndarray, alpha: float,
         raise AllNegInfinity("no feasible support for the teacher")
     idx = np.where(support)[0]
     sub_p = Dist(p_theta.logp[idx] - logsumexp(p_theta.logp[idx])) \
-        if div.kind in ("ce", "kl") else _embed_sub(p_theta, idx)
+        if div.kind in ("ce", "kl") else p_theta
     sub_f = f_vals[idx]
 
     def lift(sub_q: Dist) -> Dist:
@@ -234,12 +231,6 @@ def teacher_mirror_descent(p_theta: Dist, f_vals: np.ndarray, alpha: float,
         q, obj = cand, new_obj
         eta *= 1.5
     return lift(q)
-
-
-def _embed_sub(p: Dist, idx: np.ndarray) -> Dist:
-    # JS / W1 compare against the full p restricted to the support indices
-    # without renormalizing mass; handled by gradient on the full vector.
-    return p
 
 
 def _full_grad(div: DivergenceFn, q: Dist, p: Dist) -> np.ndarray:
@@ -290,18 +281,11 @@ def mean_field_teacher(p_theta: Dist, f_vals: np.ndarray, domain: Domain,
 def _mf_update(score: np.ndarray, other_q: np.ndarray, axis: int, alpha: float) -> np.ndarray:
     w = other_q.copy()
     masked = np.where(np.isneginf(score), 0.0, score)
-    expect = np.tensordot(w, np.where(w[_expand(axis, score.ndim)] > 0, masked, masked),
-                          axes=([0], [axis]))
+    expect = np.tensordot(w, masked, axes=([0], [axis]))
     # configurations where score = -inf on a positive-mass slice stay -inf
     hard = np.tensordot(w > 0, np.isneginf(score).astype(float), axes=([0], [axis])) > 0
     scores = np.where(hard, -np.inf, expect)
     return normalize_log(scores / alpha).p
-
-
-def _expand(axis: int, ndim: int):
-    sl = [None] * ndim
-    sl[axis] = slice(None)
-    return tuple(sl)
 
 
 def sleep_phase_teacher(model: MixtureModel, p_x: np.ndarray,
@@ -427,31 +411,29 @@ def _teacher(config: SEConfig, p_theta: Dist, f_vals: np.ndarray,
             p_theta, f_vals, config.alpha, config.beta, config.divergence,
             config.uncertainty, steps=config.teacher_steps,
             step_size=config.teacher_step_size)
-    if config.teacher == "mean_field":
-        qx, qy, _ = mean_field_teacher(p_theta, f_vals, domain, config.alpha,
-                                       config.beta)
-        return Dist.from_probs(np.outer(qx.p, qy.p).ravel())
-    raise ModeUnsupported(f"teacher mode {config.teacher!r} is not a run-loop teacher")
+    qx, qy, _ = mean_field_teacher(p_theta, f_vals, domain, config.alpha,
+                                   config.beta)
+    return Dist.from_probs(np.outer(qx.p, qy.p).ravel())
 
 
 def _decomposed_teacher(config: SEConfig, model: Model, f_vals: np.ndarray,
                         p_x: np.ndarray, domain: Domain) -> Dist:
     """Teacher restricted to q(x, y) = p_x(x) q(y|x): per-x closed form."""
     nx, ny = domain.factor_sizes
+    # rows with p_x = 0 stay -inf; the model marginal may be 0 there too
+    rows = np.flatnonzero(np.asarray(p_x) > 0)
     if isinstance(model, MixtureModel):
-        log_cond = model.log_joint() - model.log_marginal_x()[:, None]
+        log_cond = model.log_joint()[rows] - model.log_marginal_x()[rows, None]
     elif isinstance(model, ConditionalSoftmaxModel):
-        log_cond = model.log_probs()
+        log_cond = model.log_probs()[rows]
     else:
         raise ModeUnsupported("q decomposition needs a conditional or mixture model")
     f_mat = np.asarray(f_vals, dtype=float).reshape(nx, ny)
     # any x-only part of f is constant per row and cancels in the per-row
     # normalization; only the y-dependence of f tilts the conditional.
     joint = np.full((nx, ny), -np.inf)
-    for x in range(nx):
-        if p_x[x] <= 0:
-            continue
-        scores = _tilt_scores(log_cond[x], f_mat[x], config.beta)
+    for i, x in enumerate(rows):
+        scores = _tilt_scores(log_cond[i], f_mat[x], config.beta)
         if config.alpha == 0:
             cond = np.full(ny, -np.inf)
             cond[int(np.argmax(scores))] = 0.0
@@ -459,6 +441,37 @@ def _decomposed_teacher(config: SEConfig, model: Model, f_vals: np.ndarray,
             cond = scores / config.alpha - logsumexp(scores / config.alpha)
         joint[x] = np.log(p_x[x]) + cond
     return Dist(joint.ravel())
+
+
+def _step(config: SEConfig, model: Model, domain: Domain,
+          p_x: Optional[np.ndarray], reference: Optional[Dist],
+          rng: np.random.Generator, trace: Trace, iteration: int,
+          tag: str = "") -> Tuple[Model, Dist, float]:
+    """One teacher-student iteration, recorded in `trace`.  Returns the new
+    model, the teacher q and the objective total at the old model."""
+    t0 = time.perf_counter()
+    f_vals = (config.experience.values(model) if config.experience is not None
+              else np.zeros(domain.size))
+    p_theta = model_dist(model, p_x)
+    if config.q_decomposition == "fixed_x_marginal":
+        q = _decomposed_teacher(config, model, f_vals, p_x, domain)
+    else:
+        q = _teacher(config, p_theta, f_vals, domain)
+    neg_h = -config.alpha * entropy(q, config.uncertainty)
+    d_term = (config.beta * divergence(config.divergence, q, p_theta)
+              if config.beta != 0 else 0.0)
+    neg_f = -q.expect(f_vals)
+    total = neg_h + d_term + neg_f
+    model = student_step(q, model, config, rng=rng, f_vals=f_vals)
+    tv = None
+    if reference is not None:
+        tv = model_dist(model, p_x).tv(reference)
+    ms = (time.perf_counter() - t0) * 1000.0
+    trace.add(iteration=iteration, neg_alpha_h=neg_h, beta_d=d_term,
+              neg_e_q_f=neg_f, total=total, tv_to_ref=tv, ms=ms, tag=tag)
+    if config.experience is not None and config.experience.diagnostics:
+        trace.diagnostics.update(config.experience.diagnostics)
+    return model, q, total
 
 
 def run(config: SEConfig, model: Model, domain: Domain,
@@ -471,35 +484,13 @@ def run(config: SEConfig, model: Model, domain: Domain,
     max_iters or when |delta objective| < objective_tol for 5 consecutive
     iterations.
     """
-    if config.experience is None:
-        f_static = np.zeros(domain.size)
     trace = Trace()
     rng = np.random.default_rng(config.seed)
     prev_obj = None
     quiet = 0
     for n in range(1, config.max_iters + 1):
-        t0 = time.perf_counter()
-        f_vals = (config.experience.values(model) if config.experience is not None
-                  else f_static)
-        p_theta = model_dist(model, p_x)
-        if config.q_decomposition == "fixed_x_marginal":
-            q = _decomposed_teacher(config, model, f_vals, p_x, domain)
-        else:
-            q = _teacher(config, p_theta, f_vals, domain)
-        neg_h = -config.alpha * entropy(q, config.uncertainty)
-        d_term = (config.beta * divergence(config.divergence, q, p_theta)
-                  if config.beta != 0 else 0.0)
-        neg_f = -q.expect(f_vals)
-        total = neg_h + d_term + neg_f
-        model = student_step(q, model, config, rng=rng, f_vals=f_vals)
-        tv = None
-        if reference is not None:
-            tv = model_dist(model, p_x).tv(reference)
-        ms = (time.perf_counter() - t0) * 1000.0
-        trace.add(iteration=n, neg_alpha_h=neg_h, beta_d=d_term, neg_e_q_f=neg_f,
-                  total=total, tv_to_ref=tv, ms=ms)
-        if config.experience is not None and config.experience.diagnostics:
-            trace.diagnostics.update(config.experience.diagnostics)
+        model, q, total = _step(config, model, domain, p_x, reference, rng,
+                                trace, n)
         if callback is not None:
             callback(n, q, model)
         if prev_obj is not None and np.isfinite(total) and np.isfinite(prev_obj) \
@@ -561,24 +552,6 @@ def schedule(base: SEConfig, plan: Sequence[Segment], model: Model,
     for seg in plan:
         config = replace(base, **seg.overrides)
         for tau in range(seg.start, seg.end + 1):
-            t0 = time.perf_counter()
-            f_vals = (config.experience.values(model)
-                      if config.experience is not None else np.zeros(domain.size))
-            p_theta = model_dist(model, p_x)
-            if config.q_decomposition == "fixed_x_marginal":
-                q = _decomposed_teacher(config, model, f_vals, p_x, domain)
-            else:
-                q = _teacher(config, p_theta, f_vals, domain)
-            neg_h = -config.alpha * entropy(q, config.uncertainty)
-            d_term = (config.beta * divergence(config.divergence, q, p_theta)
-                      if config.beta != 0 else 0.0)
-            neg_f = -q.expect(f_vals)
-            model = student_step(q, model, config, rng=rng, f_vals=f_vals)
-            tv = None
-            if reference is not None:
-                tv = model_dist(model, p_x).tv(reference)
-            ms = (time.perf_counter() - t0) * 1000.0
-            trace.add(iteration=tau, neg_alpha_h=neg_h, beta_d=d_term,
-                      neg_e_q_f=neg_f, total=neg_h + d_term + neg_f,
-                      tv_to_ref=tv, ms=ms, tag=f"{seg.start}-{seg.end}")
+            model, _, _ = _step(config, model, domain, p_x, reference, rng,
+                                trace, tau, f"{seg.start}-{seg.end}")
     return model, trace

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sekit import solver
 from sekit.adversarial import (Discriminator, ModeUnsupported, _sigmoid,
                                adversarial_run, discriminator_gradient,
                                discriminator_objective, discriminator_update,
@@ -30,6 +31,7 @@ class TestDiscriminator:
         assert np.max(np.abs(d.f_values() - np.log(_sigmoid(phi)))) <= 1e-12
 
     def test_sigma_guard(self):
+        assert ModeUnsupported is solver.ModeUnsupported
         with pytest.raises(ModeUnsupported):
             Discriminator(np.zeros(3), "critic").sigma()
 

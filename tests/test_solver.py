@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from sekit.divergence import CE, JS, KL, divergence
 from sekit.experience import ExperienceFn
 from sekit.models import ConditionalSoftmaxModel, MixtureModel, SoftmaxModel
 from sekit.solver import (ModeUnsupported, PlanGap, SEConfig, Segment, Trace,
-                          mean_field_teacher, mw_update, run, schedule,
+                          _decomposed_teacher, mean_field_teacher, mw_update, run, schedule,
                           se_objective, sleep_phase_teacher, student_step,
                           teacher_closed_form, teacher_mirror_descent)
 
@@ -191,6 +193,23 @@ class TestStudent:
         with pytest.raises(ModeUnsupported):
             student_step(Dist.uniform(4), SoftmaxModel.zeros(dom), cfg,
                          rng=np.random.default_rng(0), f_vals=np.zeros(4))
+
+
+class TestDecomposedTeacher:
+    def test_zero_marginal_row_stays_neg_inf(self):
+        # both components put zero mass on x = 2, where p_x is also 0
+        domain = Domain.product(("a", "b", "c"), ("k0", "k1"))
+        comp = np.array([[0.0, 1.0, -np.inf], [2.0, 0.0, -np.inf]])
+        model = MixtureModel(np.array([0.3, -0.2]), comp, domain)
+        p_x = np.array([0.4, 0.6, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = _decomposed_teacher(SEConfig(beta=1.0), model,
+                                    np.zeros(domain.size), p_x, domain)
+        log_q = q.logp.reshape(3, 2)
+        assert np.all(np.isfinite(log_q[:2]))
+        assert np.all(np.isneginf(log_q[2]))
+        assert np.max(np.abs(q.p.reshape(3, 2).sum(axis=1) - p_x)) <= 1e-15
 
 
 class TestRunAndTrace:

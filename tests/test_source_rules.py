@@ -1,5 +1,5 @@
 """Engine-wide source rules: no runtime `assert` (python -O strips it) and no
-unbounded `while True` loop (each loop converges or raises a typed error)."""
+`while` loop (each loop is bounded, so it converges or raises a typed error)."""
 import ast
 from pathlib import Path
 
@@ -15,9 +15,8 @@ def _violations(path):
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             yield f"{path.name}:{node.lineno}: assert"
-        elif (isinstance(node, ast.While) and isinstance(node.test, ast.Constant)
-              and node.test.value):
-            yield f"{path.name}:{node.lineno}: while {node.test.value!r}"
+        elif isinstance(node, ast.While):
+            yield f"{path.name}:{node.lineno}: while"
 
 
 def test_modules_found():
