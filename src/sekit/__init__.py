@@ -7,7 +7,7 @@ RL-as-inference, distillation, RAML, active learning, GANs, and
 multiplicative weights.
 """
 
-from .core import Dist, Domain, SHANNON, UncertaintyFn, entropy, normalize_log
+from .core import Dist, Domain, entropy, normalize_log
 from .divergence import CE, JS, KL, DivergenceFn, divergence, influence_function, pfd_step
 from .experience import Dataset, ExperienceFn, combine, f_data, f_rule, parse_rule
 from .models import ConditionalSoftmaxModel, MixtureModel, SoftmaxModel
@@ -20,7 +20,7 @@ from .bundles import ProblemBundle, load_bundle
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dist", "Domain", "SHANNON", "UncertaintyFn", "entropy", "normalize_log",
+    "Dist", "Domain", "entropy", "normalize_log",
     "CE", "JS", "KL", "DivergenceFn", "divergence", "influence_function",
     "pfd_step", "Dataset", "ExperienceFn", "combine", "f_data", "f_rule",
     "parse_rule", "ConditionalSoftmaxModel", "MixtureModel", "SoftmaxModel",

@@ -127,12 +127,13 @@ def discriminator_gradient(disc: Discriminator, p_data: Dist, q: Dist,
 def discriminator_update(disc: Discriminator, p_data: Dist, q: Dist,
                          steps: int = 1, step_size: float = 1.0,
                          objective: str = "separation") -> Discriminator:
-    """Gradient-ascend the chosen objective with backtracking; Lipschitz
-    critics are re-projected after every accepted step."""
+    """Gradient-ascend the chosen objective with backtracking.  A Lipschitz
+    critic on the separation objective is maximised exactly in one call, so
+    steps and step_size do not apply to it."""
     if q.size != disc.phi.size or p_data.size != disc.phi.size:
         raise ValueError("distribution sizes do not match the discriminator")
     if disc.mode == "lipschitz_critic" and objective == "separation":
-        return _lipschitz_box_ascent(disc, p_data, q, steps, step_size)
+        return _lipschitz_box_ascent(disc, p_data, q)
     phi = disc.phi.copy()
     obj = discriminator_objective(disc, p_data, q, objective)
     for _ in range(steps):
@@ -153,8 +154,8 @@ def discriminator_update(disc: Discriminator, p_data: Dist, q: Dist,
     return disc.with_phi(phi)
 
 
-def _lipschitz_box_ascent(disc: Discriminator, p_data: Dist, q: Dist,
-                          steps: int, step_size: float) -> Discriminator:
+def _lipschitz_box_ascent(disc: Discriminator, p_data: Dist,
+                          q: Dist) -> Discriminator:
     """Ascend the separation objective in the consecutive-difference
     coordinates, where the Lipschitz constraint is a simple box.
 
@@ -221,8 +222,7 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
                     iters: int = 5000, disc_steps: int = 5,
                     disc_step_size: float = 4.0, model_step_size: float = 0.5,
                     clip: float = 1.0, coords: Optional[np.ndarray] = None,
-                    tol: float = 1e-3, w1_div: Optional[DivergenceFn] = None
-                    ) -> AdversarialResult:
+                    tol: float = 1e-3) -> AdversarialResult:
     """Alternating discriminator / model updates for the zero-entropy recipes.
 
     recipe:
@@ -241,7 +241,7 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
     n = p_data.size
     if recipe == "wgan":
         disc = Discriminator(np.zeros(n), "lipschitz_critic", clip, coords)
-        div = w1_div if w1_div is not None else DivergenceFn("w1", coords)
+        div = DivergenceFn("w1", coords)
     else:
         disc = Discriminator(np.zeros(n), "classifier")
         div = DivergenceFn("js")
@@ -285,7 +285,7 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
     elif recipe == "wgan":
         # polish the critic against the final model so its objective reflects
         # the actual W1 gap of the returned pair
-        disc = discriminator_update(disc, p_data, model.dist(), steps=3000,
-                                    step_size=1.0, objective="separation")
+        disc = discriminator_update(disc, p_data, model.dist(),
+                                    objective="separation")
     trace.converged = converged
     return AdversarialResult(model, disc, trace, converged)

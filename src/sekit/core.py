@@ -1,4 +1,4 @@
-"""Finite domains, exact probability vectors, and uncertainty functions.
+"""Finite domains, exact probability vectors, and Shannon entropy.
 
 All probability arithmetic is carried in log space with max-shifted
 log-sum-exp so that hard-zero scores (-inf) are first-class citizens.
@@ -181,38 +181,14 @@ def normalize_log(scores) -> Dist:
     return Dist(shifted - logsumexp(shifted))
 
 
-@dataclass(frozen=True)
-class UncertaintyFn:
-    """Shannon entropy or Tsallis entropy with entropic index k."""
-
-    kind: str = "shannon"
-    tsallis_k: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in ("shannon", "tsallis"):
-            raise ValueError(f"unknown uncertainty kind {self.kind!r}")
-        if self.kind == "tsallis":
-            k = self.tsallis_k
-            if k is None or k <= 0 or k == 1:
-                raise ValueError("tsallis requires index k > 0, k != 1")
+def entropy(q: Dist) -> float:
+    """Shannon entropy -sum q log q, with 0 log 0 = 0."""
+    mask = q.p > 0
+    return float(-(q.p[mask] @ q.logp[mask]))
 
 
-SHANNON = UncertaintyFn("shannon")
-
-
-def entropy(q: Dist, h: UncertaintyFn = SHANNON) -> float:
-    if h.kind == "shannon":
-        mask = q.p > 0
-        return float(-(q.p[mask] @ q.logp[mask]))
-    k = h.tsallis_k
-    return float((1.0 - np.sum(q.p**k)) / (k - 1.0))
-
-
-def entropy_grad(q: Dist, h: UncertaintyFn = SHANNON) -> np.ndarray:
+def entropy_grad(q: Dist) -> np.ndarray:
     """d entropy / d q_i, defined on the interior of the simplex only."""
     if np.any(q.p == 0):
         raise BoundaryPoint("entropy gradient needs q_i > 0 for all i")
-    if h.kind == "shannon":
-        return -q.logp - 1.0
-    k = h.tsallis_k
-    return -k * q.p ** (k - 1.0) / (k - 1.0)
+    return -q.logp - 1.0

@@ -58,15 +58,6 @@ def hand_em(data_counts: np.ndarray, pi: np.ndarray, comp: np.ndarray,
     return pi, comp, lls
 
 
-def bayes_posterior(pi: np.ndarray, comp: np.ndarray, x: int) -> np.ndarray:
-    """P(k | x) for a categorical mixture, straight Bayes rule."""
-    joint = pi * comp[:, x]
-    z = joint.sum()
-    if z <= 0:
-        raise ValueError("zero marginal")
-    return joint / z
-
-
 def hedge(initial: np.ndarray, reward_rows: np.ndarray, alpha: float
           ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The Hedge / exponential-weights forecaster.

@@ -56,9 +56,6 @@ class Recipe:
     contract: str  # fixed-point | per-iteration | gradient-direction | trajectory | adversarial | smoke
 
 
-_BASE = SEConfig()
-
-
 def registry() -> List[Recipe]:
     """All built-in recipes; names are the CLI vocabulary."""
     eps = DEFAULT_EPSILON
@@ -178,10 +175,10 @@ class RecipeResult:
     extras: Optional[dict] = None
 
 
-def _mle_like(config: SEConfig, fn: ExperienceFn, seed: int,
+def _mle_like(config: SEConfig, fn: ExperienceFn,
               reference: Optional[Dist] = None, iters: int = 25) -> RecipeResult:
     from dataclasses import replace
-    config = replace(config, experience=fn, seed=seed, max_iters=iters)
+    config = replace(config, experience=fn, max_iters=iters)
     model = SoftmaxModel.zeros(fn.domain)
     model, trace = run(config, model, fn.domain, reference=reference)
     return RecipeResult(model, trace, model.dist())
@@ -191,7 +188,7 @@ def _run_supervised(bundle: ProblemBundle, seed: int, **params) -> RecipeResult:
     bundle.require("dataset")
     rec = get_recipe("supervised-mle")
     ref = Dist.from_probs(bundle.dataset.empirical())
-    return _mle_like(rec.config, f_data(bundle.dataset), seed, reference=ref)
+    return _mle_like(rec.config, f_data(bundle.dataset), reference=ref)
 
 
 def _default_split(domain: Domain) -> Callable[[int], Tuple[int, int]]:
@@ -203,7 +200,7 @@ def _run_self_supervised(bundle: ProblemBundle, seed: int, **params) -> RecipeRe
     rec = get_recipe("self-supervised-mle")
     fn = f_data_self(bundle.dataset, _default_split(bundle.product_domain),
                      bundle.product_domain)
-    return _mle_like(rec.config, fn, seed)
+    return _mle_like(rec.config, fn)
 
 
 def _run_unsupervised(bundle: ProblemBundle, seed: int, iters: int = 20,
@@ -221,8 +218,8 @@ def _run_unsupervised(bundle: ProblemBundle, seed: int, iters: int = 20,
     f_vec = np.repeat(safe_log(p_x), k)
     fn = ExperienceFn.from_vector(prod, f_vec, name="data-unsup")
     rec = get_recipe("unsupervised-mle")
-    config = replace(rec.config, alpha=alpha, experience=fn, seed=seed,
-                     max_iters=iters, objective_tol=0.0)
+    config = replace(rec.config, alpha=alpha, experience=fn, max_iters=iters,
+                     objective_tol=0.0)
     rng = np.random.default_rng(seed)
     mix = np.log(rng.dirichlet(np.ones(k))) if init_mix is None else np.asarray(init_mix, dtype=float)
     comp = (np.log(rng.dirichlet(np.ones(nx), size=k)) if init_comp is None
@@ -240,7 +237,7 @@ def _run_unsupervised(bundle: ProblemBundle, seed: int, iters: int = 20,
 def _run_reweighting(bundle: ProblemBundle, seed: int, **params) -> RecipeResult:
     bundle.require("dataset")
     rec = get_recipe("data-reweighting")
-    return _mle_like(rec.config, f_data_weighted(bundle.dataset), seed)
+    return _mle_like(rec.config, f_data_weighted(bundle.dataset))
 
 
 def _run_augmentation(bundle: ProblemBundle, seed: int, **params) -> RecipeResult:
@@ -248,7 +245,7 @@ def _run_augmentation(bundle: ProblemBundle, seed: int, **params) -> RecipeResul
     rec = get_recipe("data-augmentation")
     kernel = raml_kernel(bundle.payoff)
     fn = f_data_augmented(bundle.dataset, kernel)
-    result = _mle_like(rec.config, fn, seed)
+    result = _mle_like(rec.config, fn)
     # first teacher from a uniform model: the model term is constant, so this
     # is the pure exponentiated-payoff mixture
     uniform = SoftmaxModel.zeros(fn.domain)
@@ -267,7 +264,7 @@ def _run_active(bundle: ProblemBundle, seed: int, n_labels: Optional[int] = None
     fn = f_active(bundle.pool, lambda x: int(labels[x]), bundle.utility,
                   bundle.select_lambda, prod)
     rec = get_recipe("active-learning")
-    result = _mle_like(rec.config, fn, seed)
+    result = _mle_like(rec.config, fn)
     result.extras = {
         "selection": selection_distribution(bundle.pool, bundle.utility,
                                             bundle.select_lambda),
@@ -293,8 +290,8 @@ def _run_posterior_reg(bundle: ProblemBundle, seed: int, iters: int = 10,
     rule_vals = eval_soft_logic(bundle.rule, bundle.atoms, prod.size)
     fn = ExperienceFn.from_vector(prod, bundle.rule_weight * rule_vals, name="rule")
     rec = get_recipe("posterior-regularization")
-    config = replace(rec.config, experience=fn, seed=seed, max_iters=iters,
-                     objective_tol=0.0, student="gradient", student_steps=40)
+    config = replace(rec.config, experience=fn, max_iters=iters, objective_tol=0.0,
+                     student="gradient", student_steps=40)
     rng = np.random.default_rng(seed)
     model = ConditionalSoftmaxModel(rng.normal(size=(nx, ny)) * 0.1, prod)
     history = []
@@ -382,7 +379,7 @@ def _run_distillation(bundle: ProblemBundle, seed: int, **params) -> RecipeResul
     bundle.require("dataset", "source_model")
     fn = f_model_mimic(bundle.dataset, bundle.source_model)
     rec = get_recipe("knowledge-distillation")
-    result = _mle_like(rec.config, fn, seed)
+    result = _mle_like(rec.config, fn)
     result.extras = {"source": bundle.source_model}
     return result
 
@@ -420,7 +417,6 @@ def _run_mw(bundle: ProblemBundle, seed: int, alpha: Optional[float] = None,
 
 def _run_interpolation(bundle: ProblemBundle, seed: int, iters_per_stage: int = 10,
                        **params) -> RecipeResult:
-    from dataclasses import replace
     bundle.require("dataset", "payoff")
     dom = bundle.dataset.domain
     reward = np.asarray(bundle.extras.get("reward", bundle.payoff.mean(axis=0)),
@@ -428,7 +424,7 @@ def _run_interpolation(bundle: ProblemBundle, seed: int, iters_per_stage: int = 
     fn_data = f_data(bundle.dataset)
     fn_aug = f_data_augmented(bundle.dataset, raml_kernel(bundle.payoff))
     fn_reward = ExperienceFn.from_vector(dom, reward, name="reward")
-    base = replace(get_recipe("interpolation-schedule").config, seed=seed)
+    base = get_recipe("interpolation-schedule").config
     k = iters_per_stage
     plan = [
         Segment(1, k, {"experience": fn_data, "beta": DEFAULT_EPSILON}),
@@ -676,7 +672,7 @@ def _check_vanilla_gan(bundle, tol, seed, iters=5000):
 
 def _check_wgan(bundle, tol, seed, iters=3000):
     res = run_recipe("wgan", bundle, seed, iters=iters, tol=1e-3,
-                     disc_steps=30, model_step_size=0.3)
+                     model_step_size=0.3)
     disc = res.extras["discriminator"]
     f = disc.f_values()
     critic_obj = float(bundle.p_data.p @ f - res.final_dist.p @ f)

@@ -1,11 +1,10 @@
 """The teacher-student alternating optimizer for the unified objective
 
-    min_{q, theta}  -alpha H(q) + beta D(q, p_theta) - E_q[f]
+    min_{q, theta}  -alpha H(q) + beta CE(q, p_theta) - E_q[f]
 
-plus its solver variants (mirror-descent and mean-field teachers, the
-sleep-phase fit of a parametric q, importance-sampling student), the
-multiplicative-weights online loop, and the dynamic schedule that interpolates
-between configurations.
+with the closed-form teacher (and its per-x form for a fixed x marginal), the
+exact and gradient students, the multiplicative-weights online loop, and the
+dynamic schedule that interpolates between configurations.
 """
 from __future__ import annotations
 
@@ -16,13 +15,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import (AllNegInfinity, Dist, Domain, SHANNON, UncertaintyFn,
-                   entropy, entropy_grad, normalize_log)
-from .divergence import CE, DivergenceFn, divergence, divergence_grad_q
+from .core import AllNegInfinity, Dist, Domain, entropy, normalize_log
+from .divergence import CE, divergence
 from .experience import ExperienceFn
-from .models import (ConditionalSoftmaxModel, MixtureModel, Model,
-                     SoftmaxModel, exact_fit, expected_log_prob, fit_to,
-                     grad_expected_log_prob)
+from .models import (ConditionalSoftmaxModel, MixtureModel, Model, exact_fit,
+                     fit_to)
 
 DEFAULT_EPSILON = 1e-8  # the "very small positive" beta of the MLE recipes
 
@@ -37,39 +34,25 @@ class PlanGap(ValueError):
 
 @dataclass(frozen=True)
 class SEConfig:
-    """A point in the algorithm space: trade-off weights, divergence,
-    uncertainty, experience, and the teacher/student solver modes."""
+    """A point in the algorithm space: the trade-off weights, the experience,
+    and the student's fitting mode.  The divergence is cross-entropy and the
+    uncertainty is Shannon entropy, which the closed-form teacher needs."""
 
     alpha: float = 1.0
     beta: float = 1.0
-    divergence: DivergenceFn = CE
-    uncertainty: UncertaintyFn = SHANNON
     experience: Optional[ExperienceFn] = None
-    teacher: str = "closed_form"  # closed_form | mirror_descent | mean_field
-    student: str = "exact"  # exact | gradient | importance_sampling
+    student: str = "exact"  # exact (exact_fit) | gradient (fit_to)
     student_steps: int = 50
     student_step_size: float = 1.0
-    is_samples: int = 10000
     q_decomposition: str = "none"  # none | fixed_x_marginal
-    stop_grad_f: bool = True
-    teacher_steps: int = 2000
-    teacher_step_size: float = 0.5
     max_iters: int = 10000
     objective_tol: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if self.teacher not in ("closed_form", "mirror_descent", "mean_field"):
-            raise ValueError(f"unknown teacher mode {self.teacher!r}")
-        if self.student not in ("exact", "gradient", "importance_sampling"):
+        if self.student not in ("exact", "gradient"):
             raise ValueError(f"unknown student mode {self.student!r}")
-        if self.teacher == "closed_form":
-            if self.divergence.kind != "ce" or self.uncertainty.kind != "shannon":
-                raise ValueError("closed-form teacher requires CE divergence and Shannon entropy")
-        if self.student == "importance_sampling" and self.alpha != self.beta:
-            raise ModeUnsupported("importance-sampling student requires alpha = beta")
 
 
 @dataclass
@@ -159,233 +142,15 @@ def teacher_closed_form(p_theta: Dist, f_vals: np.ndarray, alpha: float,
     return normalize_log(scores / alpha)
 
 
-def se_objective(q: Dist, p_theta: Dist, f_vals: np.ndarray, alpha: float,
-                 beta: float, div: DivergenceFn, unc: UncertaintyFn) -> float:
-    neg_h = -alpha * entropy(q, unc)
-    d = beta * divergence(div, q, p_theta) if beta != 0 else 0.0
-    neg_f = -q.expect(f_vals)
-    if neg_f == -np.inf:
-        return -np.inf
-    return neg_h + d + neg_f
-
-
-def teacher_mirror_descent(p_theta: Dist, f_vals: np.ndarray, alpha: float,
-                           beta: float, div: DivergenceFn,
-                           unc: UncertaintyFn = SHANNON,
-                           steps: int = 2000, step_size: float = 0.5,
-                           tol: float = 1e-12) -> Dist:
-    """Exponentiated-gradient descent of the inner objective over the simplex.
-
-    Configurations with f = -inf (and, for KL/CE, with p_theta = 0) are
-    frozen out of the support; the rest run backtracking EG so the objective
-    never increases on an accepted step.
-    """
-    f_vals = np.asarray(f_vals, dtype=float)
-    support = ~np.isneginf(f_vals)
-    if div.kind in ("ce", "kl"):
-        support &= ~np.isneginf(p_theta.logp)
-    if not np.any(support):
-        raise AllNegInfinity("no feasible support for the teacher")
-    idx = np.where(support)[0]
-    sub_p = Dist(p_theta.logp[idx] - logsumexp(p_theta.logp[idx])) \
-        if div.kind in ("ce", "kl") else p_theta
-    sub_f = f_vals[idx]
-
-    def lift(sub_q: Dist) -> Dist:
-        logq = np.full(p_theta.size, -np.inf)
-        logq[idx] = sub_q.logp
-        return Dist(logq)
-
-    def objective(sub_q: Dist) -> float:
-        return se_objective(lift(sub_q), p_theta, f_vals, alpha, beta, div, unc)
-
-    q = Dist.uniform(idx.size)
-    obj = objective(q)
-    eta = step_size
-    for _ in range(steps):
-        grad = -sub_f.copy()
-        if alpha != 0:
-            grad = grad - alpha * entropy_grad(q, unc)
-        if beta != 0:
-            if div.kind in ("ce", "kl"):
-                grad = grad + beta * divergence_grad_q(div, q, sub_p)
-            else:
-                grad = grad + beta * _full_grad(div, lift(q), p_theta)[idx]
-        grad = grad - grad.mean()
-        accepted = False
-        for _halving in range(40):
-            cand = normalize_log(q.logp - eta * grad)
-            if np.any(cand.p == 0):
-                eta /= 2.0
-                continue
-            new_obj = objective(cand)
-            if new_obj <= obj + 1e-15:
-                accepted = True
-                break
-            eta /= 2.0
-        if not accepted:
-            break
-        if abs(obj - new_obj) < tol:
-            q, obj = cand, new_obj
-            break
-        q, obj = cand, new_obj
-        eta *= 1.5
-    return lift(q)
-
-
-def _full_grad(div: DivergenceFn, q: Dist, p: Dist) -> np.ndarray:
-    """Gradient of D(q, p) in q for JS / W1, defined where q may touch zero."""
-    if div.kind == "js":
-        with np.errstate(divide="ignore"):
-            ratio = np.where(q.p > 0, 2.0 * q.p / (q.p + p.p), 0.0)
-            return np.where(q.p > 0, 0.5 * np.log(np.where(ratio > 0, ratio, 1.0)),
-                            0.0)
-    if div.kind == "w1":
-        return divergence_grad_q(div, q, p)
-    raise ValueError(div.kind)
-
-
-def mean_field_teacher(p_theta: Dist, f_vals: np.ndarray, domain: Domain,
-                       alpha: float, beta: float, sweeps: int = 50
-                       ) -> Tuple[Dist, Dist, List[float]]:
-    """Coordinate-ascent factored teacher q = q_x (x) q_y on a product domain.
-
-    Each factor update is q_c proportional to exp{E_{q \\ c}[beta log p + f] / alpha};
-    the free energy is non-increasing per sweep.  Returns (q_x, q_y, energies).
-    """
-    if sweeps < 1:
-        raise ValueError("sweeps >= 1 required")
-    if alpha <= 0:
-        raise ValueError("mean-field teacher requires alpha > 0")
-    nx, ny = domain.factor_sizes
-    score = _tilt_scores(p_theta.logp, np.asarray(f_vals, dtype=float), beta)
-    score = score.reshape(nx, ny)
-    qx = np.full(nx, 1.0 / nx)
-    qy = np.full(ny, 1.0 / ny)
-
-    def free_energy() -> float:
-        q = Dist.from_probs(np.outer(qx, qy).ravel())
-        return se_objective(q, p_theta, f_vals, alpha, beta, CE, SHANNON)
-
-    energies = [free_energy()]
-    for _ in range(sweeps):
-        # E_{q_x}[score] needs 0 * (-inf) = 0 on zero-mass rows
-        qy = _mf_update(score, qx, axis=0, alpha=alpha)
-        qx = _mf_update(score, qy, axis=1, alpha=alpha)
-        energies.append(free_energy())
-        if energies[-2] - energies[-1] < 1e-14:
-            break
-    return Dist.from_probs(qx), Dist.from_probs(qy), energies
-
-
-def _mf_update(score: np.ndarray, other_q: np.ndarray, axis: int, alpha: float) -> np.ndarray:
-    w = other_q.copy()
-    masked = np.where(np.isneginf(score), 0.0, score)
-    expect = np.tensordot(w, masked, axes=([0], [axis]))
-    # configurations where score = -inf on a positive-mass slice stay -inf
-    hard = np.tensordot(w > 0, np.isneginf(score).astype(float), axes=([0], [axis])) > 0
-    scores = np.where(hard, -np.inf, expect)
-    return normalize_log(scores / alpha).p
-
-
-def sleep_phase_teacher(model: MixtureModel, p_x: np.ndarray,
-                        q_model: ConditionalSoftmaxModel, steps: int = 500,
-                        step_size: float = 1.0, restriction: str = "full"
-                        ) -> Tuple[ConditionalSoftmaxModel, float]:
-    """Sleep-phase update: fit a parametric q(y|x) by descending the
-    reverse-direction KL(p_theta(y|x) || q(y|x)) averaged over the data.
-
-    restriction: "full" (free row logits), "shared" (one logit vector for all
-    x), or "uniform" (singleton family, no update).  Returns (q, final KL).
-    """
-    from .divergence import kl as kl_div  # local import to keep deps one-way
-
-    p_x = np.asarray(p_x, dtype=float)
-    nx, k = model.domain.factor_sizes
-    log_joint = model.log_joint()  # (|X|, K)
-    posts = np.zeros((nx, k))
-    for x in range(nx):
-        if p_x[x] > 0:
-            posts[x] = np.exp(log_joint[x] - logsumexp(log_joint[x]))
-
-    def avg_kl(qm: ConditionalSoftmaxModel) -> float:
-        total = 0.0
-        lq = qm.log_probs()
-        for x in range(nx):
-            if p_x[x] > 0:
-                total += p_x[x] * kl_div(Dist.from_probs(posts[x]), Dist(lq[x]))
-        return total
-
-    if restriction == "uniform":
-        return q_model, avg_kl(q_model)
-    theta = q_model.theta.copy()
-    obj = avg_kl(q_model)
-    eta = step_size
-    for _ in range(steps):
-        qm = ConditionalSoftmaxModel(theta, q_model.domain)
-        probs = qm.probs()
-        grad = p_x[:, None] * (probs - posts)  # d KL / d row logits
-        if restriction == "shared":
-            grad = np.broadcast_to(grad.sum(axis=0), (nx, k)) / 1.0
-        accepted = False
-        for _halving in range(30):
-            cand = ConditionalSoftmaxModel(theta - eta * grad, q_model.domain)
-            new_obj = avg_kl(cand)
-            if new_obj <= obj:
-                accepted = True
-                break
-            eta /= 2.0
-        if not accepted:
-            break
-        theta = cand.theta.copy()
-        obj = new_obj
-        eta *= 1.5
-        if np.max(np.abs(grad)) < 1e-12:
-            break
-    final = ConditionalSoftmaxModel(theta, q_model.domain)
-    return final, avg_kl(final)
-
-
 # ---------------------------------------------------------------------------
 # Student steps
 # ---------------------------------------------------------------------------
 
-def student_step(q: Dist, model: Model, config: SEConfig,
-                 rng: Optional[np.random.Generator] = None,
-                 f_vals: Optional[np.ndarray] = None) -> Model:
+def student_step(q: Dist, model: Model, config: SEConfig) -> Model:
     if config.student == "exact":
         return exact_fit(model, q)
-    if config.student == "gradient":
-        return fit_to(model, q, steps=config.student_steps,
-                      step_size=config.student_step_size)
-    # importance sampling (alpha = beta): proposal p_theta, weights exp{f/alpha}
-    if config.alpha != config.beta:
-        raise ModeUnsupported("importance-sampling student requires alpha = beta")
-    if f_vals is None:
-        raise ValueError("importance-sampling student needs experience values")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    grad = importance_sampling_gradient(model, f_vals, config.alpha,
-                                        config.is_samples, rng)
-    if isinstance(model, SoftmaxModel):
-        return model.with_theta(model.theta + config.student_step_size * grad)
-    raise ModeUnsupported("importance-sampling student implemented for flat softmax models")
-
-
-def importance_sampling_gradient(model: SoftmaxModel, f_vals: np.ndarray,
-                                 alpha: float, n_samples: int,
-                                 rng: np.random.Generator) -> np.ndarray:
-    """Self-normalized importance-sampling estimate of the exact student
-    gradient E_q[grad log p_theta], with proposal p_theta and weights
-    exp{f / alpha}."""
-    p = np.exp(model.log_probs())
-    draws = rng.choice(model.domain.size, size=n_samples, p=p)
-    logw = np.asarray(f_vals, dtype=float)[draws] / alpha
-    logw -= logw.max()
-    w = np.exp(logw)
-    w /= w.sum()
-    weighted_hist = np.bincount(draws, weights=w, minlength=model.domain.size)
-    return weighted_hist - p
+    return fit_to(model, q, steps=config.student_steps,
+                  step_size=config.student_step_size)
 
 
 # ---------------------------------------------------------------------------
@@ -402,28 +167,23 @@ def model_dist(model: Model, p_x: Optional[np.ndarray] = None) -> Dist:
     return model.dist()
 
 
-def _teacher(config: SEConfig, p_theta: Dist, f_vals: np.ndarray,
-             domain: Domain) -> Dist:
-    if config.teacher == "closed_form":
-        return teacher_closed_form(p_theta, f_vals, config.alpha, config.beta)
-    if config.teacher == "mirror_descent":
-        return teacher_mirror_descent(
-            p_theta, f_vals, config.alpha, config.beta, config.divergence,
-            config.uncertainty, steps=config.teacher_steps,
-            step_size=config.teacher_step_size)
-    qx, qy, _ = mean_field_teacher(p_theta, f_vals, domain, config.alpha,
-                                   config.beta)
-    return Dist.from_probs(np.outer(qx.p, qy.p).ravel())
-
-
 def _decomposed_teacher(config: SEConfig, model: Model, f_vals: np.ndarray,
                         p_x: np.ndarray, domain: Domain) -> Dist:
-    """Teacher restricted to q(x, y) = p_x(x) q(y|x): per-x closed form."""
+    """Teacher restricted to q(x, y) = p_x(x) q(y|x): per-x closed form.
+
+    An observed x (p_x > 0) whose scores are all -inf, including one where
+    the model's own marginal is 0 and beta > 0, raises AllNegInfinity.
+    """
     nx, ny = domain.factor_sizes
     # rows with p_x = 0 stay -inf; the model marginal may be 0 there too
     rows = np.flatnonzero(np.asarray(p_x) > 0)
     if isinstance(model, MixtureModel):
-        log_cond = model.log_joint()[rows] - model.log_marginal_x()[rows, None]
+        log_joint = model.log_joint()[rows]
+        log_marginal = model.log_marginal_x()[rows]
+        # a zero model marginal leaves its row -inf, without -inf - -inf
+        live = ~np.isneginf(log_marginal)
+        log_cond = np.full_like(log_joint, -np.inf)
+        log_cond[live] = log_joint[live] - log_marginal[live, None]
     elif isinstance(model, ConditionalSoftmaxModel):
         log_cond = model.log_probs()[rows]
     else:
@@ -434,19 +194,27 @@ def _decomposed_teacher(config: SEConfig, model: Model, f_vals: np.ndarray,
     joint = np.full((nx, ny), -np.inf)
     for i, x in enumerate(rows):
         scores = _tilt_scores(log_cond[i], f_mat[x], config.beta)
+        # log_z (the top score at alpha = 0) is -inf only on an all -inf row;
+        # a scalar test keeps the EM E-step's per-row cost unchanged
+        if config.alpha == 0:
+            best = int(np.argmax(scores))
+            log_z = scores[best]
+        else:
+            log_z = logsumexp(scores / config.alpha)
+        if log_z == -np.inf:
+            raise AllNegInfinity(f"teacher scores are all -inf at observed x = {x}")
         if config.alpha == 0:
             cond = np.full(ny, -np.inf)
-            cond[int(np.argmax(scores))] = 0.0
+            cond[best] = 0.0
         else:
-            cond = scores / config.alpha - logsumexp(scores / config.alpha)
+            cond = scores / config.alpha - log_z
         joint[x] = np.log(p_x[x]) + cond
     return Dist(joint.ravel())
 
 
 def _step(config: SEConfig, model: Model, domain: Domain,
           p_x: Optional[np.ndarray], reference: Optional[Dist],
-          rng: np.random.Generator, trace: Trace, iteration: int,
-          tag: str = "") -> Tuple[Model, Dist, float]:
+          trace: Trace, iteration: int, tag: str = "") -> Tuple[Model, Dist, float]:
     """One teacher-student iteration, recorded in `trace`.  Returns the new
     model, the teacher q and the objective total at the old model."""
     t0 = time.perf_counter()
@@ -456,13 +224,13 @@ def _step(config: SEConfig, model: Model, domain: Domain,
     if config.q_decomposition == "fixed_x_marginal":
         q = _decomposed_teacher(config, model, f_vals, p_x, domain)
     else:
-        q = _teacher(config, p_theta, f_vals, domain)
-    neg_h = -config.alpha * entropy(q, config.uncertainty)
-    d_term = (config.beta * divergence(config.divergence, q, p_theta)
+        q = teacher_closed_form(p_theta, f_vals, config.alpha, config.beta)
+    neg_h = -config.alpha * entropy(q)
+    d_term = (config.beta * divergence(CE, q, p_theta)
               if config.beta != 0 else 0.0)
     neg_f = -q.expect(f_vals)
     total = neg_h + d_term + neg_f
-    model = student_step(q, model, config, rng=rng, f_vals=f_vals)
+    model = student_step(q, model, config)
     tv = None
     if reference is not None:
         tv = model_dist(model, p_x).tv(reference)
@@ -485,12 +253,10 @@ def run(config: SEConfig, model: Model, domain: Domain,
     iterations.
     """
     trace = Trace()
-    rng = np.random.default_rng(config.seed)
     prev_obj = None
     quiet = 0
     for n in range(1, config.max_iters + 1):
-        model, q, total = _step(config, model, domain, p_x, reference, rng,
-                                trace, n)
+        model, q, total = _step(config, model, domain, p_x, reference, trace, n)
         if callback is not None:
             callback(n, q, model)
         if prev_obj is not None and np.isfinite(total) and np.isfinite(prev_obj) \
@@ -538,7 +304,7 @@ def schedule(base: SEConfig, plan: Sequence[Segment], model: Model,
              domain: Domain, p_x: Optional[np.ndarray] = None,
              reference: Optional[Dist] = None) -> Tuple[Model, Trace]:
     """Run the dynamic outer loop: at each tau the active segment's config
-    (experience, weights, divergence, ...) drives one teacher-student step."""
+    (experience, weights, student, ...) drives one teacher-student step."""
     plan = list(plan)
     if not plan:
         raise PlanGap("empty plan")
@@ -548,10 +314,9 @@ def schedule(base: SEConfig, plan: Sequence[Segment], model: Model,
             raise PlanGap(f"plan segments are not contiguous at tau = {seg.start}")
         expected = seg.end + 1
     trace = Trace()
-    rng = np.random.default_rng(base.seed)
     for seg in plan:
         config = replace(base, **seg.overrides)
         for tau in range(seg.start, seg.end + 1):
-            model, _, _ = _step(config, model, domain, p_x, reference, rng,
-                                trace, tau, f"{seg.start}-{seg.end}")
+            model, _, _ = _step(config, model, domain, p_x, reference, trace,
+                                tau, f"{seg.start}-{seg.end}")
     return model, trace

@@ -16,7 +16,7 @@ from sekit.adversarial import (Discriminator, discriminator_gradient,
                                discriminator_objective,
                                reweighted_discriminator_gradient, tilted_q)
 from sekit.bundles import ProblemBundle
-from sekit.core import Dist, Domain, SHANNON, entropy, entropy_grad
+from sekit.core import Dist, Domain, entropy, entropy_grad
 from sekit.divergence import (CE, DivergenceFn, JS, KL, divergence,
                               divergence_grad_q, influence_function, pfd_step,
                               w1)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sekit.core import (AllNegInfinity, BoundaryPoint, Dist, Domain, SHANNON,
-                        UncertaintyFn, entropy, entropy_grad, normalize_log)
+from sekit.core import (AllNegInfinity, BoundaryPoint, Dist, Domain, entropy,
+                        entropy_grad, normalize_log)
 
 finite_scores = arrays(np.float64, st.integers(2, 12),
                        elements=st.floats(-30, 30))
@@ -126,20 +126,6 @@ class TestEntropy:
 
     def test_point_mass_is_zero(self):
         assert entropy(Dist.point_mass(5, 0)) == 0.0
-
-    def test_tsallis_validation(self):
-        with pytest.raises(ValueError):
-            UncertaintyFn("tsallis", 1.0)
-        with pytest.raises(ValueError):
-            UncertaintyFn("tsallis", -0.5)
-        with pytest.raises(ValueError):
-            UncertaintyFn("nope")
-
-    def test_tsallis_value(self):
-        h = UncertaintyFn("tsallis", 2.0)
-        q = Dist.from_probs(np.array([0.25, 0.75]))
-        expected = (1.0 - (0.25**2 + 0.75**2)) / 1.0
-        assert entropy(q, h) == pytest.approx(expected, abs=1e-14)
 
     def test_grad_boundary(self):
         with pytest.raises(BoundaryPoint):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sekit.core import BoundaryPoint, Dist, SHANNON, entropy
+from sekit.core import BoundaryPoint, Dist, entropy
 from sekit.divergence import (CE, DivergenceFn, JS, KL, NonConvergence,
                               SupportViolation, cross_entropy, divergence,
                               divergence_grad_q, influence_function, js, kl,

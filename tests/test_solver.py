@@ -6,14 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sekit.core import AllNegInfinity, Dist, Domain, SHANNON, UncertaintyFn, entropy
-from sekit.divergence import CE, JS, KL, divergence
-from sekit.experience import ExperienceFn
+from sekit.core import AllNegInfinity, Dist, Domain
 from sekit.models import ConditionalSoftmaxModel, MixtureModel, SoftmaxModel
-from sekit.solver import (ModeUnsupported, PlanGap, SEConfig, Segment, Trace,
-                          _decomposed_teacher, mean_field_teacher, mw_update, run, schedule,
-                          se_objective, sleep_phase_teacher, student_step,
-                          teacher_closed_form, teacher_mirror_descent)
+from sekit.solver import (PlanGap, SEConfig, Segment, _decomposed_teacher, mw_update,
+                          run, schedule, student_step, teacher_closed_form)
 
 
 def mk(raw):
@@ -23,22 +19,9 @@ def mk(raw):
 class TestSEConfig:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            SEConfig(teacher="magic")
-        with pytest.raises(ValueError):
             SEConfig(student="magic")
         with pytest.raises(ValueError):
             SEConfig(beta=-0.1)
-
-    def test_closed_form_needs_ce_shannon(self):
-        with pytest.raises(ValueError):
-            SEConfig(divergence=JS, teacher="closed_form")
-        with pytest.raises(ValueError):
-            SEConfig(uncertainty=UncertaintyFn("tsallis", 2.0),
-                     teacher="closed_form")
-
-    def test_importance_sampling_needs_equal_weights(self):
-        with pytest.raises(ModeUnsupported):
-            SEConfig(alpha=1.0, beta=0.5, student="importance_sampling")
 
 
 class TestClosedFormTeacher:
@@ -76,92 +59,18 @@ class TestClosedFormTeacher:
         p = mk(rng.random(3) + 0.1)
         f = rng.normal(size=3)
         q = teacher_closed_form(p, f, 1.0, 1.0)
-        best = se_objective(q, p, f, 1.0, 1.0, CE, SHANNON)
+
+        def objective(r):
+            # -H(r) + CE(r, p) - E_r[f] at alpha = beta = 1, on the interior
+            return float(r @ np.log(r) - r @ np.log(p.p) - r @ f)
+
+        best = objective(q.p)
         g = np.linspace(0.01, 0.98, 15)
         for a in g:
             for b in g:
                 if a + b >= 0.99:
                     continue
-                cand = Dist.from_probs(np.array([a, b, 1 - a - b]))
-                assert se_objective(cand, p, f, 1.0, 1.0, CE, SHANNON) >= best - 1e-12
-
-
-class TestMirrorDescentTeacher:
-    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.3)])
-    def test_matches_closed_form(self, rng, alpha, beta):
-        p = mk(rng.random(8) + 0.1)
-        f = rng.normal(size=8)
-        cf = teacher_closed_form(p, f, alpha, beta)
-        md = teacher_mirror_descent(p, f, alpha, beta, CE)
-        assert cf.tv(md) <= 1e-6
-
-    def test_respects_hard_zeros(self, rng):
-        p = mk(rng.random(5) + 0.1)
-        f = rng.normal(size=5)
-        f[2] = -np.inf
-        md = teacher_mirror_descent(p, f, 1.0, 1.0, CE)
-        assert md.p[2] == 0.0
-        cf = teacher_closed_form(p, f, 1.0, 1.0)
-        assert cf.tv(md) <= 1e-6
-
-    def test_js_divergence_improves(self, rng):
-        p = mk(rng.random(5) + 0.1)
-        f = rng.normal(size=5) * 0.5
-        q = teacher_mirror_descent(p, f, 1.0, 1.0, JS)
-        start = se_objective(Dist.uniform(5), p, f, 1.0, 1.0, JS, SHANNON)
-        end = se_objective(q, p, f, 1.0, 1.0, JS, SHANNON)
-        assert end <= start + 1e-12
-
-
-class TestMeanField:
-    def test_free_energy_monotone(self, rng):
-        dom = Domain.product(tuple("abcd"), tuple("uvw"))
-        p = mk(rng.random(12) + 0.05)
-        f = rng.normal(size=12)
-        qx, qy, energies = mean_field_teacher(p, f, dom, 1.0, 1.0)
-        assert np.all(np.diff(energies) <= 1e-12)
-
-    def test_factored_output(self, rng):
-        dom = Domain.product(tuple("ab"), tuple("uv"))
-        p = mk(rng.random(4) + 0.1)
-        f = rng.normal(size=4)
-        qx, qy, _ = mean_field_teacher(p, f, dom, 1.0, 1.0)
-        assert abs(qx.p.sum() - 1) <= 1e-9 and abs(qy.p.sum() - 1) <= 1e-9
-
-    def test_at_least_as_good_as_no_experience_start(self, rng):
-        # inner approximation: final free energy <= uniform product energy
-        dom = Domain.product(tuple("abc"), tuple("uv"))
-        p = mk(rng.random(6) + 0.1)
-        f = rng.normal(size=6)
-        _, _, energies = mean_field_teacher(p, f, dom, 1.0, 1.0)
-        assert energies[-1] <= energies[0] + 1e-12
-
-    def test_alpha_validation(self, rng):
-        dom = Domain.product(tuple("ab"), tuple("uv"))
-        with pytest.raises(ValueError):
-            mean_field_teacher(Dist.uniform(4), np.zeros(4), dom, 0.0, 1.0)
-
-
-class TestSleepPhase:
-    def test_full_family_reaches_posterior(self, rng):
-        dom = Domain.product(tuple(f"x{i}" for i in range(4)), ("k0", "k1"))
-        m = MixtureModel(rng.normal(size=2), rng.normal(size=(2, 4)), dom)
-        p_x = rng.dirichlet(np.ones(4))
-        q0 = ConditionalSoftmaxModel.zeros(dom)
-        q, kl_val = sleep_phase_teacher(m, p_x, q0, steps=400)
-        assert kl_val <= 1e-8
-
-    def test_restriction_nesting(self, rng):
-        dom = Domain.product(tuple(f"x{i}" for i in range(4)), ("k0", "k1"))
-        m = MixtureModel(rng.normal(size=2), rng.normal(size=(2, 4)), dom)
-        p_x = rng.dirichlet(np.ones(4))
-        q0 = ConditionalSoftmaxModel.zeros(dom)
-        _, kl_full = sleep_phase_teacher(m, p_x, q0, steps=400)
-        _, kl_shared = sleep_phase_teacher(m, p_x, q0, steps=400,
-                                           restriction="shared")
-        _, kl_unif = sleep_phase_teacher(m, p_x, q0, restriction="uniform")
-        assert kl_full <= kl_shared + 1e-10
-        assert kl_shared <= kl_unif + 1e-10
+                assert objective(np.array([a, b, 1 - a - b])) >= best - 1e-12
 
 
 class TestStudent:
@@ -171,36 +80,18 @@ class TestStudent:
         m = student_step(q, SoftmaxModel.zeros(dom), SEConfig(student="exact"))
         assert m.dist().tv(q) <= 1e-12
 
-    def test_importance_sampling_approximates_exact(self, rng):
-        dom = Domain.of_size(5)
-        f = rng.normal(size=5)
-        model = SoftmaxModel(rng.normal(size=5) * 0.2, dom)
-        cfg = SEConfig(student="importance_sampling", alpha=1.0, beta=1.0,
-                       is_samples=400_000, student_step_size=1.0, seed=7)
-        stepped = student_step(q=None or teacher_closed_form(model.dist(), f, 1, 1),
-                               model=model, config=cfg,
-                               rng=np.random.default_rng(7), f_vals=f)
-        q = teacher_closed_form(model.dist(), f, 1.0, 1.0)
-        exact_grad = q.p - model.dist().p
-        # the IS update moved theta along approximately the exact gradient
-        moved = stepped.theta - model.theta
-        assert np.max(np.abs(moved - exact_grad)) <= 5e-3
-
-    def test_importance_sampling_mode_guard(self, rng):
-        dom = Domain.of_size(4)
-        cfg = SEConfig(student="importance_sampling", alpha=2.0, beta=2.0)
-        object.__setattr__(cfg, "beta", 1.0)  # sneak past the constructor
-        with pytest.raises(ModeUnsupported):
-            student_step(Dist.uniform(4), SoftmaxModel.zeros(dom), cfg,
-                         rng=np.random.default_rng(0), f_vals=np.zeros(4))
-
 
 class TestDecomposedTeacher:
-    def test_zero_marginal_row_stays_neg_inf(self):
-        # both components put zero mass on x = 2, where p_x is also 0
+    @staticmethod
+    def _mixture_zero_on_x2():
+        # both components put zero mass on x = 2
         domain = Domain.product(("a", "b", "c"), ("k0", "k1"))
         comp = np.array([[0.0, 1.0, -np.inf], [2.0, 0.0, -np.inf]])
-        model = MixtureModel(np.array([0.3, -0.2]), comp, domain)
+        return domain, MixtureModel(np.array([0.3, -0.2]), comp, domain)
+
+    def test_zero_marginal_row_stays_neg_inf(self):
+        # x = 2 is unobserved too: p_x is 0 there
+        domain, model = self._mixture_zero_on_x2()
         p_x = np.array([0.4, 0.6, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -210,6 +101,38 @@ class TestDecomposedTeacher:
         assert np.all(np.isfinite(log_q[:2]))
         assert np.all(np.isneginf(log_q[2]))
         assert np.max(np.abs(q.p.reshape(3, 2).sum(axis=1) - p_x)) <= 1e-15
+
+    def test_zero_model_marginal_on_observed_x_raises(self):
+        domain, model = self._mixture_zero_on_x2()
+        p_x = np.array([0.4, 0.3, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AllNegInfinity):
+                _decomposed_teacher(SEConfig(beta=1.0), model,
+                                    np.zeros(domain.size), p_x, domain)
+
+    def test_zero_model_marginal_on_observed_x_beta_zero(self):
+        # beta = 0 drops the model term, so the row is uniform over y
+        domain, model = self._mixture_zero_on_x2()
+        p_x = np.array([0.4, 0.3, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = _decomposed_teacher(SEConfig(beta=0.0), model,
+                                    np.zeros(domain.size), p_x, domain)
+        target = np.array([0.2, 0.2, 0.15, 0.15, 0.15, 0.15])
+        assert np.max(np.abs(q.p - target)) <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_observed_row_of_neg_inf_scores_raises(self, rng, alpha):
+        domain = Domain.product(("a", "b", "c"), ("y0", "y1"))
+        model = ConditionalSoftmaxModel(rng.normal(size=(3, 2)), domain)
+        f = rng.normal(size=(3, 2))
+        f[2] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AllNegInfinity):
+                _decomposed_teacher(SEConfig(alpha=alpha, beta=1.0), model,
+                                    f.ravel(), np.array([0.4, 0.3, 0.3]), domain)
 
 
 class TestRunAndTrace:

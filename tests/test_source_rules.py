@@ -1,18 +1,24 @@
-"""Engine-wide source rules: no runtime `assert` (python -O strips it) and no
-`while` loop (each loop is bounded, so it converges or raises a typed error)."""
+"""Engine-wide source rules: no runtime `assert` (python -O strips it), no
+`while` loop (each loop is bounded, so it converges or raises a typed error),
+no `SEConfig` field that nothing reads, and no engine import in the oracles."""
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import sekit
+from sekit.solver import SEConfig
 
 MODULES = sorted(Path(sekit.__file__).parent.glob("*.py"))
 
 
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def _violations(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for node in ast.walk(tree):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Assert):
             yield f"{path.name}:{node.lineno}: assert"
         elif isinstance(node, ast.While):
@@ -20,9 +26,38 @@ def _violations(path):
 
 
 def test_modules_found():
-    assert {"core.py", "mdp.py", "solver.py"} <= {p.name for p in MODULES}
+    assert {"core.py", "mdp.py", "oracles.py", "solver.py"} <= {p.name for p in MODULES}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_assert_or_unbounded_loop(path):
     assert list(_violations(path)) == []
+
+
+def test_every_config_field_is_read():
+    # an option that no code reads is accepted but does nothing
+    read = set()
+    for path in MODULES:
+        tree = _parse(path)
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "SEConfig":
+                skip.update(id(n) for n in ast.walk(node))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load) and id(node) not in skip)
+    fields = {f.name for f in dataclasses.fields(SEConfig)}
+    assert fields - read == set()
+
+
+def test_oracles_import_nothing_from_sekit():
+    # the oracles are independent references: no engine code may leak in
+    bad = []
+    for node in ast.walk(_parse(Path(sekit.__file__).parent / "oracles.py")):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 or (node.module or "").split(".")[0] == "sekit":
+                bad.append(f"oracles.py:{node.lineno}")
+        elif isinstance(node, ast.Import):
+            bad += [f"oracles.py:{node.lineno}" for alias in node.names
+                    if alias.name.split(".")[0] == "sekit"]
+    assert bad == []
