@@ -7,8 +7,8 @@ Discriminators are tabular: one scalar parameter per domain element.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp

@@ -151,15 +151,8 @@ def _execute_run(cfg: dict, seed: int, bundle, out_dir: Path) -> int:
     params = dict(cfg.get("params", {}))
     result = run_recipe(cfg["recipe"], bundle, seed=seed, **params)
     _write_outputs(out_dir, cfg, seed, result)
-    converged = result.trace.converged
-    if result.extras and "converged" in result.extras:
-        converged = result.extras["converged"]
-    if cfg["recipe"] in ("multiplicative-weights", "interpolation-schedule",
-                         "policy-gradient", "intrinsic-reward",
-                         "rl-as-inference", "unsupervised-mle", "unified-em",
-                         "posterior-regularization"):
-        # fixed-iteration recipes: finishing the loop is success
-        converged = True
+    # for a fixed-iteration recipe, finishing the loop is success
+    converged = result.trace.converged or get_recipe(cfg["recipe"]).fixed_iters
     return EXIT_OK if converged else EXIT_PARTIAL
 
 

@@ -204,7 +204,7 @@ def grad_q_logits(mdp: TabularMDP, policy: ConditionalSoftmaxModel,
 
 def f_reward(mdp: TabularMDP, mode: str = "log_q",
              intrinsic_rewards: Optional[np.ndarray] = None,
-             rho: float = 1.0, offset: Optional[float] = None) -> ExperienceFn:
+             offset: Optional[float] = None) -> ExperienceFn:
     """Theta-dependent reward experience over the state-action domain.
 
     Modes: "log_q" (log of the exact Q), "q" (raw Q, for RL-as-inference with

@@ -7,7 +7,7 @@ new models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import logsumexp

@@ -2,13 +2,15 @@
 plus the equivalence-check harness that compares each preset against an
 independent oracle implementation.
 
-Each recipe is a frozen configuration template; `run_recipe` instantiates it
-against a problem bundle, and `check_equivalence` compares the result to the
-named oracle under that pair's comparison contract.
+One table, `_RECIPES`, holds every recipe: its frozen configuration, the
+bundle fields it requires, its runner, its oracle checks and whether it runs
+a fixed number of iterations.  `run_recipe` validates the bundle and calls the
+runner on the recipe's configuration; `check_equivalence` runs the named
+oracle's check and reports the result under the recipe's comparison contract.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -19,12 +21,10 @@ from .adversarial import (Discriminator, adversarial_run,
                           reweighted_discriminator_gradient,
                           discriminator_gradient, tilted_q)
 from .bundles import ProblemBundle
-from .core import Dist, Domain, normalize_log, safe_log
-from .divergence import CE, JS, KL, DivergenceFn, divergence
-from .experience import (Dataset, ExperienceFn, combine, f_active, f_data,
-                         f_data_augmented, f_data_self, f_data_weighted,
-                         f_model_mimic, f_rule, raml_kernel,
-                         selection_distribution)
+from .core import Dist, Domain, safe_log
+from .experience import (ExperienceFn, f_active, f_data, f_data_augmented,
+                         f_data_self, f_data_weighted, f_model_mimic,
+                         raml_kernel, selection_distribution)
 from .mdp import exact_policy_gradient, f_reward, q_function, visitation
 from .models import (ConditionalSoftmaxModel, MixtureModel, SoftmaxModel,
                      grad_expected_log_prob)
@@ -40,133 +40,6 @@ class IncompatiblePair(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Recipe:
-    """A named point in the algorithm space.
-
-    requires lists the bundle fields the recipe validates before running;
-    contract is the comparison mode its default oracle uses.
-    """
-
-    name: str
-    description: str
-    requires: Tuple[str, ...]
-    config: SEConfig
-    default_oracle: str
-    contract: str  # fixed-point | per-iteration | gradient-direction | trajectory | adversarial | smoke
-
-
-def registry() -> List[Recipe]:
-    """All built-in recipes; names are the CLI vocabulary."""
-    eps = DEFAULT_EPSILON
-    return [
-        Recipe("supervised-mle",
-               "Cross-entropy fit to labeled data: alpha=1, beta=epsilon, "
-               "f = log empirical frequency; fixed point is the empirical "
-               "distribution.",
-               ("dataset",), SEConfig(alpha=1.0, beta=eps),
-               "direct-mle", "fixed-point"),
-        Recipe("self-supervised-mle",
-               "Supervised fit on (x, y) pairs carved out of raw observations "
-               "by a deterministic split.",
-               ("dataset", "product_domain"), SEConfig(alpha=1.0, beta=eps),
-               "direct-mle", "fixed-point"),
-        Recipe("unsupervised-mle",
-               "Latent-variable likelihood via the q(x,y) = data(x) q(y|x) "
-               "decomposition at alpha=beta=1: exactly EM.",
-               ("dataset",), SEConfig(alpha=1.0, beta=1.0,
-                                      q_decomposition="fixed_x_marginal"),
-               "hand-em", "per-iteration"),
-        Recipe("data-reweighting",
-               "Instance-weighted MLE: f = log(weighted empirical frequency).",
-               ("dataset",), SEConfig(alpha=1.0, beta=eps),
-               "weighted-mle", "fixed-point"),
-        Recipe("data-augmentation",
-               "Payoff-kernel-smoothed MLE; with kernel exp{R} the teacher is "
-               "the exponentiated-payoff distribution.",
-               ("dataset", "payoff"), SEConfig(alpha=1.0, beta=eps),
-               "enumeration", "fixed-point"),
-        Recipe("active-learning",
-               "Oracle-labeled pool experience with an uncertainty bonus "
-               "lambda u(x); selection follows empirical(x) exp(lambda u).",
-               ("pool", "oracle_labels", "utility"),
-               SEConfig(alpha=1.0, beta=eps),
-               "enumeration", "fixed-point"),
-        Recipe("posterior-regularization",
-               "Rule-constrained posterior at alpha=beta=1: "
-               "q(y|x) tilts the model posterior by exp(lambda rule).",
-               ("dataset", "rule"),
-               SEConfig(alpha=1.0, beta=1.0, q_decomposition="fixed_x_marginal"),
-               "enumeration", "per-iteration"),
-        Recipe("unified-em",
-               "EM with a free entropy weight alpha; alpha=1 is classical EM, "
-               "other alphas anneal the posterior.",
-               ("dataset",), SEConfig(alpha=1.0, beta=1.0,
-                                      q_decomposition="fixed_x_marginal"),
-               "hand-em", "smoke"),
-        Recipe("policy-gradient",
-               "f = log Q at alpha=beta=1: the student gradient is the exact "
-               "policy gradient scaled by 1/Z.",
-               ("mdp",), SEConfig(alpha=1.0, beta=1.0),
-               "exact-pg", "gradient-direction"),
-        Recipe("intrinsic-reward",
-               "f = log(Q_extrinsic + Q_intrinsic): reward shaping inside the "
-               "same teacher.",
-               ("mdp",), SEConfig(alpha=1.0, beta=1.0),
-               "enumeration", "per-iteration"),
-        Recipe("rl-as-inference",
-               "f = Q at alpha=beta=rho: the teacher is the exponentiated-Q "
-               "posterior p exp(Q/rho)/Z.",
-               ("mdp",), SEConfig(alpha=1.0, beta=1.0),
-               "enumeration", "per-iteration"),
-        Recipe("knowledge-distillation",
-               "f scores (x, y) by a frozen source model's log-likelihood on "
-               "observed inputs; the student mimics the source.",
-               ("dataset", "source_model"), SEConfig(alpha=1.0, beta=eps),
-               "enumeration", "fixed-point"),
-        Recipe("vanilla-gan",
-               "alpha=0, beta=1, JS divergence, classifier discriminator.",
-               ("p_data",), SEConfig(alpha=0.0, beta=1.0),
-               "gan-optimum", "adversarial"),
-        Recipe("wgan",
-               "alpha=0, beta=1, Wasserstein-1 with a Lipschitz critic.",
-               ("p_data",), SEConfig(alpha=0.0, beta=1.0),
-               "brute-w1", "adversarial"),
-        Recipe("ppo-gan",
-               "alpha=0+, beta=1, KL; importance-reweighted discriminator and "
-               "an exact tilt step for the model.",
-               ("p_data",), SEConfig(alpha=0.0, beta=1.0),
-               "reweighted-identity", "fixed-point"),
-        Recipe("multiplicative-weights",
-               "Online expert weighting p <- p exp(reward/alpha)/Z; identical "
-               "to Hedge.",
-               ("rewards",), SEConfig(alpha=1.0, beta=1.0),
-               "hedge", "trajectory"),
-        Recipe("interpolation-schedule",
-               "Anneal from data experience (beta=epsilon) through payoff "
-               "augmentation to pure reward (beta=1).",
-               ("dataset", "payoff"), SEConfig(alpha=1.0, beta=eps),
-               "none", "smoke"),
-    ]
-
-
-_REGISTRY: Dict[str, Recipe] = {}
-
-
-def get_recipe(name: str) -> Recipe:
-    global _REGISTRY
-    if not _REGISTRY:
-        _REGISTRY = {r.name: r for r in registry()}
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise NotFound(f"no recipe named {name!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# Recipe runners
-# ---------------------------------------------------------------------------
-
 @dataclass
 class RecipeResult:
     model: object
@@ -175,40 +48,75 @@ class RecipeResult:
     extras: Optional[dict] = None
 
 
+@dataclass(frozen=True, eq=False)  # one instance per name; `checks` is a dict
+class Recipe:
+    """A named point in the algorithm space.
+
+    `run(config, bundle, seed, **params)` runs the recipe at `config` after
+    `run_recipe` has checked that the bundle has every field in `requires`.
+    `checks` maps oracle name to check, default oracle first; `contract` is
+    the comparison mode of the default oracle.  For a `fixed_iters` recipe,
+    finishing the loop is success.
+    """
+
+    name: str
+    description: str
+    requires: Tuple[str, ...]
+    config: SEConfig
+    contract: str  # fixed-point | per-iteration | gradient-direction | trajectory | adversarial | smoke
+    run: Callable[..., RecipeResult]
+    checks: Dict[str, Callable]
+    fixed_iters: bool = False
+
+    @property
+    def default_oracle(self) -> str:
+        return next(iter(self.checks))
+
+
+def registry() -> List[Recipe]:
+    """All built-in recipes; names are the CLI vocabulary."""
+    return list(_RECIPES.values())
+
+
+def get_recipe(name: str) -> Recipe:
+    try:
+        return _RECIPES[name]
+    except KeyError:
+        raise NotFound(f"no recipe named {name!r}") from None
+
+
+def run_recipe(name: str, bundle: ProblemBundle, seed: int = 0,
+               **params) -> RecipeResult:
+    rec = get_recipe(name)
+    bundle.require(*rec.requires)
+    return rec.run(rec.config, bundle, seed, **params)
+
+
+# ---------------------------------------------------------------------------
+# Recipe runners
+# ---------------------------------------------------------------------------
+
 def _mle_like(config: SEConfig, fn: ExperienceFn,
               reference: Optional[Dist] = None, iters: int = 25) -> RecipeResult:
-    from dataclasses import replace
     config = replace(config, experience=fn, max_iters=iters)
     model = SoftmaxModel.zeros(fn.domain)
     model, trace = run(config, model, fn.domain, reference=reference)
     return RecipeResult(model, trace, model.dist())
 
 
-def _run_supervised(bundle: ProblemBundle, seed: int, **params) -> RecipeResult:
-    bundle.require("dataset")
-    rec = get_recipe("supervised-mle")
+def _run_supervised(config, bundle, seed, **params) -> RecipeResult:
     ref = Dist.from_probs(bundle.dataset.empirical())
-    return _mle_like(rec.config, f_data(bundle.dataset), reference=ref)
+    return _mle_like(config, f_data(bundle.dataset), reference=ref)
 
 
-def _default_split(domain: Domain) -> Callable[[int], Tuple[int, int]]:
-    return domain.unpair
+def _run_self_supervised(config, bundle, seed, **params) -> RecipeResult:
+    prod = bundle.product_domain
+    return _mle_like(config, f_data_self(bundle.dataset, prod.unpair, prod))
 
 
-def _run_self_supervised(bundle: ProblemBundle, seed: int, **params) -> RecipeResult:
-    bundle.require("dataset", "product_domain")
-    rec = get_recipe("self-supervised-mle")
-    fn = f_data_self(bundle.dataset, _default_split(bundle.product_domain),
-                     bundle.product_domain)
-    return _mle_like(rec.config, fn)
-
-
-def _run_unsupervised(bundle: ProblemBundle, seed: int, iters: int = 20,
-                      alpha: float = 1.0, init_mix=None, init_comp=None,
-                      **params) -> RecipeResult:
+def _run_unsupervised(config, bundle, seed, iters=20, alpha=None,
+                      init_mix=None, init_comp=None, **params) -> RecipeResult:
     """EM as teacher-student: dataset over X, K-component mixture model."""
-    from dataclasses import replace
-    bundle.require("dataset")
     k = bundle.n_components
     nx = bundle.dataset.domain.size
     prod = Domain.product(bundle.dataset.domain.labels,
@@ -217,9 +125,8 @@ def _run_unsupervised(bundle: ProblemBundle, seed: int, iters: int = 20,
     # f(x, y) = log empirical(x), constant in the latent coordinate
     f_vec = np.repeat(safe_log(p_x), k)
     fn = ExperienceFn.from_vector(prod, f_vec, name="data-unsup")
-    rec = get_recipe("unsupervised-mle")
-    config = replace(rec.config, alpha=alpha, experience=fn, max_iters=iters,
-                     objective_tol=0.0)
+    config = replace(config, alpha=config.alpha if alpha is None else alpha,
+                     experience=fn, max_iters=iters, objective_tol=0.0)
     rng = np.random.default_rng(seed)
     mix = np.log(rng.dirichlet(np.ones(k))) if init_mix is None else np.asarray(init_mix, dtype=float)
     comp = (np.log(rng.dirichlet(np.ones(nx), size=k)) if init_comp is None
@@ -234,37 +141,30 @@ def _run_unsupervised(bundle: ProblemBundle, seed: int, iters: int = 20,
     return RecipeResult(model, trace, extras={"history": history, "p_x": p_x})
 
 
-def _run_reweighting(bundle: ProblemBundle, seed: int, **params) -> RecipeResult:
-    bundle.require("dataset")
-    rec = get_recipe("data-reweighting")
-    return _mle_like(rec.config, f_data_weighted(bundle.dataset))
+def _run_reweighting(config, bundle, seed, **params) -> RecipeResult:
+    return _mle_like(config, f_data_weighted(bundle.dataset))
 
 
-def _run_augmentation(bundle: ProblemBundle, seed: int, **params) -> RecipeResult:
-    bundle.require("dataset", "payoff")
-    rec = get_recipe("data-augmentation")
+def _run_augmentation(config, bundle, seed, **params) -> RecipeResult:
     kernel = raml_kernel(bundle.payoff)
     fn = f_data_augmented(bundle.dataset, kernel)
-    result = _mle_like(rec.config, fn)
+    result = _mle_like(config, fn)
     # first teacher from a uniform model: the model term is constant, so this
     # is the pure exponentiated-payoff mixture
     uniform = SoftmaxModel.zeros(fn.domain)
-    q0 = teacher_closed_form(uniform.dist(), fn.values(), 1.0, DEFAULT_EPSILON)
+    q0 = teacher_closed_form(uniform.dist(), fn.values(), config.alpha, config.beta)
     result.extras = {"first_teacher": q0, "kernel": kernel}
     return result
 
 
-def _run_active(bundle: ProblemBundle, seed: int, n_labels: Optional[int] = None,
-                **params) -> RecipeResult:
-    bundle.require("pool", "oracle_labels", "utility")
+def _run_active(config, bundle, seed, n_labels=None, **params) -> RecipeResult:
     labels = bundle.oracle_labels
     ny = n_labels if n_labels is not None else int(labels.max()) + 1
     prod = Domain.product(bundle.pool.domain.labels,
                           tuple(f"y{j}" for j in range(ny)))
     fn = f_active(bundle.pool, lambda x: int(labels[x]), bundle.utility,
                   bundle.select_lambda, prod)
-    rec = get_recipe("active-learning")
-    result = _mle_like(rec.config, fn)
+    result = _mle_like(config, fn)
     result.extras = {
         "selection": selection_distribution(bundle.pool, bundle.utility,
                                             bundle.select_lambda),
@@ -273,11 +173,9 @@ def _run_active(bundle: ProblemBundle, seed: int, n_labels: Optional[int] = None
     return result
 
 
-def _run_posterior_reg(bundle: ProblemBundle, seed: int, iters: int = 10,
+def _run_posterior_reg(config, bundle, seed, iters=10,
                        **params) -> RecipeResult:
     """Rule-tilted conditional learning on a product domain."""
-    from dataclasses import replace
-    bundle.require("dataset", "rule")
     prod = bundle.product_domain
     if prod is None:
         raise IncompatiblePair("posterior regularization needs a product domain")
@@ -289,8 +187,7 @@ def _run_posterior_reg(bundle: ProblemBundle, seed: int, iters: int = 10,
     from .experience import eval_soft_logic
     rule_vals = eval_soft_logic(bundle.rule, bundle.atoms, prod.size)
     fn = ExperienceFn.from_vector(prod, bundle.rule_weight * rule_vals, name="rule")
-    rec = get_recipe("posterior-regularization")
-    config = replace(rec.config, experience=fn, max_iters=iters, objective_tol=0.0,
+    config = replace(config, experience=fn, max_iters=iters, objective_tol=0.0,
                      student="gradient", student_steps=40)
     rng = np.random.default_rng(seed)
     model = ConditionalSoftmaxModel(rng.normal(size=(nx, ny)) * 0.1, prod)
@@ -302,11 +199,6 @@ def _run_posterior_reg(bundle: ProblemBundle, seed: int, iters: int = 10,
                                 "rule_values": rule_vals})
 
 
-def _run_unified_em(bundle: ProblemBundle, seed: int, alpha: float = 1.0,
-                    iters: int = 20, **params) -> RecipeResult:
-    return _run_unsupervised(bundle, seed, iters=iters, alpha=alpha, **params)
-
-
 def _sa_model_dist(mdp, policy) -> Dist:
     """The policy's state-action distribution: normalized visitation times pi."""
     mu = visitation(mdp, policy)
@@ -314,79 +206,66 @@ def _sa_model_dist(mdp, policy) -> Dist:
     return Dist.from_probs((joint / joint.sum()).ravel())
 
 
-def _run_policy_gradient(bundle: ProblemBundle, seed: int, **params) -> RecipeResult:
-    """One teacher step at f = log Q; returns the student gradient and Z."""
-    bundle.require("mdp")
+def _mdp_teacher(config, bundle, seed, mode, **fkw):
+    """One teacher step from a seeded policy at the reward experience `mode`,
+    with the state-action distribution as the model.  Returns the result and
+    the values of f."""
     mdp = bundle.mdp
     rng = np.random.default_rng(seed)
-    dom = mdp.domain()
-    policy = ConditionalSoftmaxModel(rng.normal(size=mdp.rewards.shape) * 0.3, dom)
-    fn = f_reward(mdp, "log_q")
+    policy = ConditionalSoftmaxModel(rng.normal(size=mdp.rewards.shape) * 0.3,
+                                     mdp.domain())
+    fn = f_reward(mdp, mode, **fkw)
     f_vals = fn.values(policy)
     p_sa = _sa_model_dist(mdp, policy)
-    q = teacher_closed_form(p_sa, f_vals, 1.0, 1.0)
-    se_grad = grad_expected_log_prob(policy, q)
-    # Z = sum_sa mu(s) pi(a|s) exp f(s,a) over the unnormalized visitation, so
-    # that the student gradient times Z is the exact policy gradient
-    mu = visitation(mdp, policy)
-    z = float(np.sum((mu[:, None] * policy.probs()).ravel() * np.exp(f_vals)))
+    q = teacher_closed_form(p_sa, f_vals, config.alpha, config.beta)
     trace = Trace()
     trace.diagnostics.update(fn.diagnostics)
-    return RecipeResult(policy, trace,
-                        extras={"se_grad": se_grad, "q": q, "z": z,
-                                "p_sa": p_sa, "f_vals": f_vals,
-                                "offset": fn.diagnostics.get("reward_offset", 0.0)})
+    extras = {"q": q, "p_sa": p_sa,
+              "offset": fn.diagnostics.get("reward_offset", 0.0)}
+    return RecipeResult(policy, trace, extras=extras), f_vals
 
 
-def _run_intrinsic(bundle: ProblemBundle, seed: int, **params) -> RecipeResult:
-    bundle.require("mdp")
+def _run_policy_gradient(config, bundle, seed, **params) -> RecipeResult:
+    """One teacher step at f = log Q; adds the student gradient and Z."""
+    result, f_vals = _mdp_teacher(config, bundle, seed, "log_q")
+    policy, q = result.model, result.extras["q"]
+    # Z = sum_sa mu(s) pi(a|s) exp f(s,a) over the unnormalized visitation, so
+    # that the student gradient times Z is the exact policy gradient
+    mu = visitation(bundle.mdp, policy)
+    z = float(np.sum((mu[:, None] * policy.probs()).ravel() * np.exp(f_vals)))
+    result.extras.update(se_grad=grad_expected_log_prob(policy, q), z=z,
+                         f_vals=f_vals)
+    return result
+
+
+def _run_intrinsic(config, bundle, seed, **params) -> RecipeResult:
     mdp = bundle.mdp
     intrinsic = np.asarray(bundle.extras.get("intrinsic_rewards",
                                              np.ones_like(mdp.rewards) * 0.1),
                            dtype=float).reshape(mdp.rewards.shape)
-    rng = np.random.default_rng(seed)
-    policy = ConditionalSoftmaxModel(rng.normal(size=mdp.rewards.shape) * 0.3,
-                                     mdp.domain())
-    fn = f_reward(mdp, "q_plus_intrinsic", intrinsic_rewards=intrinsic)
-    f_vals = fn.values(policy)
-    p_sa = _sa_model_dist(mdp, policy)
-    q = teacher_closed_form(p_sa, f_vals, 1.0, 1.0)
-    trace = Trace()
-    trace.diagnostics.update(fn.diagnostics)
-    return RecipeResult(policy, trace,
-                        extras={"q": q, "p_sa": p_sa, "intrinsic": intrinsic,
-                                "offset": fn.diagnostics.get("reward_offset", 0.0)})
+    result, _ = _mdp_teacher(config, bundle, seed, "q_plus_intrinsic",
+                             intrinsic_rewards=intrinsic)
+    result.extras["intrinsic"] = intrinsic
+    return result
 
 
-def _run_rl_inference(bundle: ProblemBundle, seed: int, rho: Optional[float] = None,
+def _run_rl_inference(config, bundle, seed, rho=None,
                       **params) -> RecipeResult:
-    bundle.require("mdp")
-    mdp = bundle.mdp
     rho = bundle.rho if rho is None else rho
-    rng = np.random.default_rng(seed)
-    policy = ConditionalSoftmaxModel(rng.normal(size=mdp.rewards.shape) * 0.3,
-                                     mdp.domain())
-    fn = f_reward(mdp, "q")
-    f_vals = fn.values(policy)
-    p_sa = _sa_model_dist(mdp, policy)
-    q = teacher_closed_form(p_sa, f_vals, rho, rho)
-    return RecipeResult(policy, Trace(),
-                        extras={"q": q, "p_sa": p_sa, "rho": rho,
-                                "f_vals": f_vals})
+    result, f_vals = _mdp_teacher(replace(config, alpha=rho, beta=rho), bundle,
+                                  seed, "q")
+    result.extras.update(rho=rho, f_vals=f_vals)
+    return result
 
 
-def _run_distillation(bundle: ProblemBundle, seed: int, **params) -> RecipeResult:
-    bundle.require("dataset", "source_model")
-    fn = f_model_mimic(bundle.dataset, bundle.source_model)
-    rec = get_recipe("knowledge-distillation")
-    result = _mle_like(rec.config, fn)
+def _run_distillation(config, bundle, seed, **params) -> RecipeResult:
+    result = _mle_like(config, f_model_mimic(bundle.dataset, bundle.source_model))
     result.extras = {"source": bundle.source_model}
     return result
 
 
-def _run_gan(bundle: ProblemBundle, seed: int, recipe: str = "vanilla_gan",
-             iters: int = 5000, **params) -> RecipeResult:
-    bundle.require("p_data")
+def _run_gan(config, bundle, seed, recipe="vanilla_gan", iters=5000,
+             **params) -> RecipeResult:
     n = bundle.p_data.size
     rng = np.random.default_rng(seed)
     model = SoftmaxModel(rng.normal(size=n) * 0.5, Domain.of_size(n))
@@ -397,9 +276,7 @@ def _run_gan(bundle: ProblemBundle, seed: int, recipe: str = "vanilla_gan",
                                 "converged": res.converged})
 
 
-def _run_mw(bundle: ProblemBundle, seed: int, alpha: Optional[float] = None,
-            **params) -> RecipeResult:
-    bundle.require("rewards")
+def _run_mw(config, bundle, seed, alpha=None, **params) -> RecipeResult:
     rows = bundle.rewards
     T, K = rows.shape
     if alpha is None:
@@ -415,16 +292,14 @@ def _run_mw(bundle: ProblemBundle, seed: int, alpha: Optional[float] = None,
                                                 "alpha": alpha})
 
 
-def _run_interpolation(bundle: ProblemBundle, seed: int, iters_per_stage: int = 10,
+def _run_interpolation(config, bundle, seed, iters_per_stage=10,
                        **params) -> RecipeResult:
-    bundle.require("dataset", "payoff")
     dom = bundle.dataset.domain
     reward = np.asarray(bundle.extras.get("reward", bundle.payoff.mean(axis=0)),
                         dtype=float)
     fn_data = f_data(bundle.dataset)
     fn_aug = f_data_augmented(bundle.dataset, raml_kernel(bundle.payoff))
     fn_reward = ExperienceFn.from_vector(dom, reward, name="reward")
-    base = get_recipe("interpolation-schedule").config
     k = iters_per_stage
     plan = [
         Segment(1, k, {"experience": fn_data, "beta": DEFAULT_EPSILON}),
@@ -432,35 +307,8 @@ def _run_interpolation(bundle: ProblemBundle, seed: int, iters_per_stage: int = 
         Segment(2 * k + 1, 3 * k, {"experience": fn_reward, "beta": 1.0}),
     ]
     model = SoftmaxModel.zeros(dom)
-    model, trace = schedule(base, plan, model, dom)
+    model, trace = schedule(config, plan, model, dom)
     return RecipeResult(model, trace, model.dist())
-
-
-_RUNNERS: Dict[str, Callable[..., RecipeResult]] = {
-    "supervised-mle": _run_supervised,
-    "self-supervised-mle": _run_self_supervised,
-    "unsupervised-mle": _run_unsupervised,
-    "data-reweighting": _run_reweighting,
-    "data-augmentation": _run_augmentation,
-    "active-learning": _run_active,
-    "posterior-regularization": _run_posterior_reg,
-    "unified-em": _run_unified_em,
-    "policy-gradient": _run_policy_gradient,
-    "intrinsic-reward": _run_intrinsic,
-    "rl-as-inference": _run_rl_inference,
-    "knowledge-distillation": _run_distillation,
-    "vanilla-gan": lambda b, s, **kw: _run_gan(b, s, "vanilla_gan", **kw),
-    "wgan": lambda b, s, **kw: _run_gan(b, s, "wgan", **kw),
-    "ppo-gan": lambda b, s, **kw: _run_gan(b, s, "ppo_gan", **kw),
-    "multiplicative-weights": _run_mw,
-    "interpolation-schedule": _run_interpolation,
-}
-
-
-def run_recipe(name: str, bundle: ProblemBundle, seed: int = 0,
-               **params) -> RecipeResult:
-    get_recipe(name)  # raises NotFound on unknown names
-    return _RUNNERS[name](bundle, seed, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -717,26 +565,103 @@ def _check_interpolation(bundle, tol, seed):
     return (0.0 if contiguous else np.inf), {"iterations": len(iters)}
 
 
-_CHECKS: Dict[Tuple[str, str], Callable] = {
-    ("supervised-mle", "direct-mle"): _check_supervised,
-    ("self-supervised-mle", "direct-mle"): _check_self_supervised,
-    ("unsupervised-mle", "hand-em"): _check_em,
-    ("data-reweighting", "weighted-mle"): _check_reweighting,
-    ("data-augmentation", "enumeration"): _check_augmentation,
-    ("active-learning", "enumeration"): _check_active,
-    ("posterior-regularization", "enumeration"): _check_posterior_reg,
-    ("unified-em", "hand-em"): _check_unified_em,
-    ("policy-gradient", "exact-pg"): _check_policy_gradient,
-    ("policy-gradient", "reinforce"): _check_policy_gradient,
-    ("intrinsic-reward", "enumeration"): _check_intrinsic,
-    ("rl-as-inference", "enumeration"): _check_rl_inference,
-    ("knowledge-distillation", "enumeration"): _check_distillation,
-    ("vanilla-gan", "gan-optimum"): _check_vanilla_gan,
-    ("wgan", "brute-w1"): _check_wgan,
-    ("ppo-gan", "reweighted-identity"): _check_ppo_gan,
-    ("multiplicative-weights", "hedge"): _check_mw,
-    ("interpolation-schedule", "none"): _check_interpolation,
-}
+_MLE = SEConfig(alpha=1.0, beta=DEFAULT_EPSILON)
+_EM = SEConfig(alpha=1.0, beta=1.0, q_decomposition="fixed_x_marginal")
+_UNIT = SEConfig(alpha=1.0, beta=1.0)
+_GAN = SEConfig(alpha=0.0, beta=1.0)
+
+
+def _gan(kind: str) -> Callable[..., RecipeResult]:
+    return lambda config, bundle, seed, **params: _run_gan(config, bundle, seed,
+                                                           kind, **params)
+
+
+_RECIPES: Dict[str, Recipe] = {r.name: r for r in [
+    Recipe("supervised-mle",
+           "Cross-entropy fit to labeled data: alpha=1, beta=epsilon, "
+           "f = log empirical frequency; fixed point is the empirical "
+           "distribution.",
+           ("dataset",), _MLE, "fixed-point", _run_supervised,
+           {"direct-mle": _check_supervised}),
+    Recipe("self-supervised-mle",
+           "Supervised fit on (x, y) pairs carved out of raw observations "
+           "by a deterministic split.",
+           ("dataset", "product_domain"), _MLE, "fixed-point",
+           _run_self_supervised, {"direct-mle": _check_self_supervised}),
+    Recipe("unsupervised-mle",
+           "Latent-variable likelihood via the q(x,y) = data(x) q(y|x) "
+           "decomposition at alpha=beta=1: exactly EM.",
+           ("dataset",), _EM, "per-iteration", _run_unsupervised,
+           {"hand-em": _check_em}, fixed_iters=True),
+    Recipe("data-reweighting",
+           "Instance-weighted MLE: f = log(weighted empirical frequency).",
+           ("dataset",), _MLE, "fixed-point", _run_reweighting,
+           {"weighted-mle": _check_reweighting}),
+    Recipe("data-augmentation",
+           "Payoff-kernel-smoothed MLE; with kernel exp{R} the teacher is "
+           "the exponentiated-payoff distribution.",
+           ("dataset", "payoff"), _MLE, "fixed-point", _run_augmentation,
+           {"enumeration": _check_augmentation}),
+    Recipe("active-learning",
+           "Oracle-labeled pool experience with an uncertainty bonus "
+           "lambda u(x); selection follows empirical(x) exp(lambda u).",
+           ("pool", "oracle_labels", "utility"), _MLE, "fixed-point",
+           _run_active, {"enumeration": _check_active}),
+    Recipe("posterior-regularization",
+           "Rule-constrained posterior at alpha=beta=1: "
+           "q(y|x) tilts the model posterior by exp(lambda rule).",
+           ("dataset", "rule"), _EM, "per-iteration", _run_posterior_reg,
+           {"enumeration": _check_posterior_reg}, fixed_iters=True),
+    Recipe("unified-em",
+           "EM with a free entropy weight alpha; alpha=1 is classical EM, "
+           "other alphas anneal the posterior.",
+           ("dataset",), _EM, "smoke", _run_unsupervised,
+           {"hand-em": _check_unified_em}, fixed_iters=True),
+    Recipe("policy-gradient",
+           "f = log Q at alpha=beta=1: the student gradient is the exact "
+           "policy gradient scaled by 1/Z.",
+           ("mdp",), _UNIT, "gradient-direction", _run_policy_gradient,
+           {"exact-pg": _check_policy_gradient,
+            "reinforce": _check_policy_gradient}, fixed_iters=True),
+    Recipe("intrinsic-reward",
+           "f = log(Q_extrinsic + Q_intrinsic): reward shaping inside the "
+           "same teacher.",
+           ("mdp",), _UNIT, "per-iteration", _run_intrinsic,
+           {"enumeration": _check_intrinsic}, fixed_iters=True),
+    Recipe("rl-as-inference",
+           "f = Q at alpha=beta=rho: the teacher is the exponentiated-Q "
+           "posterior p exp(Q/rho)/Z.",
+           ("mdp",), _UNIT, "per-iteration", _run_rl_inference,
+           {"enumeration": _check_rl_inference}, fixed_iters=True),
+    Recipe("knowledge-distillation",
+           "f scores (x, y) by a frozen source model's log-likelihood on "
+           "observed inputs; the student mimics the source.",
+           ("dataset", "source_model"), _MLE, "fixed-point",
+           _run_distillation, {"enumeration": _check_distillation}),
+    Recipe("vanilla-gan",
+           "alpha=0, beta=1, JS divergence, classifier discriminator.",
+           ("p_data",), _GAN, "adversarial", _gan("vanilla_gan"),
+           {"gan-optimum": _check_vanilla_gan}),
+    Recipe("wgan",
+           "alpha=0, beta=1, Wasserstein-1 with a Lipschitz critic.",
+           ("p_data",), _GAN, "adversarial", _gan("wgan"),
+           {"brute-w1": _check_wgan}),
+    Recipe("ppo-gan",
+           "alpha=0+, beta=1, KL; importance-reweighted discriminator and "
+           "an exact tilt step for the model.",
+           ("p_data",), _GAN, "fixed-point", _gan("ppo_gan"),
+           {"reweighted-identity": _check_ppo_gan}),
+    Recipe("multiplicative-weights",
+           "Online expert weighting p <- p exp(reward/alpha)/Z; identical "
+           "to Hedge.",
+           ("rewards",), _UNIT, "trajectory", _run_mw, {"hedge": _check_mw},
+           fixed_iters=True),
+    Recipe("interpolation-schedule",
+           "Anneal from data experience (beta=epsilon) through payoff "
+           "augmentation to pure reward (beta=1).",
+           ("dataset", "payoff"), _MLE, "smoke", _run_interpolation,
+           {"none": _check_interpolation}, fixed_iters=True),
+]}
 
 
 def check_equivalence(recipe: str, oracle: str, bundle: ProblemBundle,
@@ -744,8 +669,7 @@ def check_equivalence(recipe: str, oracle: str, bundle: ProblemBundle,
     """Run the recipe and its oracle, compare per the pair's contract, and
     return a report with the worst deviation and a pass/fail verdict."""
     rec = get_recipe(recipe)
-    key = (recipe, oracle)
-    if key not in _CHECKS:
+    if oracle not in rec.checks:
         raise IncompatiblePair(f"no equivalence contract for {recipe!r} vs {oracle!r}")
-    deviation, details = _CHECKS[key](bundle, tolerance, seed, **params)
+    deviation, details = rec.checks[oracle](bundle, tolerance, seed, **params)
     return _report(recipe, oracle, rec.contract, tolerance, deviation, details)

@@ -53,6 +53,8 @@ class SEConfig:
             raise ValueError("beta must be >= 0")
         if self.student not in ("exact", "gradient"):
             raise ValueError(f"unknown student mode {self.student!r}")
+        if self.q_decomposition not in ("none", "fixed_x_marginal"):
+            raise ValueError(f"unknown q_decomposition {self.q_decomposition!r}")
 
 
 @dataclass

@@ -90,6 +90,28 @@ class TestRun:
                      "--out", str(out2)]) == 0
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
+    def _run_bundle(self, tmp_path, recipe, bundle, params):
+        cfg = {"recipe": recipe, "seed": 0, "params": params,
+               "problem": os.path.abspath(os.path.join(CONFIG_DIR, bundle))}
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(tmp_path / "run.json"),
+                     "--out", str(out)])
+        return code, json.loads((out / "trace.json").read_text())
+
+    def test_fixed_iteration_recipe_exits_zero_unconverged(self, tmp_path):
+        # EM runs its fixed iteration count: finishing the loop is success
+        code, trace = self._run_bundle(tmp_path, "unsupervised-mle",
+                                       "mixture.json", {})
+        assert trace["converged"] is False
+        assert code == 0
+
+    def test_unconverged_gan_exits_two(self, tmp_path):
+        code, trace = self._run_bundle(tmp_path, "wgan", "gan_target.json",
+                                       {"iters": 5})
+        assert trace["converged"] is False
+        assert code == 2
+
 
 class TestCheck:
     def test_pass_exit_zero(self, workspace, capsys):

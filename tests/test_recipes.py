@@ -34,6 +34,7 @@ class TestRegistry:
             rec.config.alpha = 2.0
         with pytest.raises((AttributeError, TypeError)):
             rec.name = "other"
+        assert {rec, get_recipe("supervised-mle")} == {rec}
 
     def test_supervised_beta_is_epsilon(self):
         assert get_recipe("supervised-mle").config.beta == 1e-8
@@ -55,6 +56,12 @@ class TestValidation:
             run_recipe("supervised-mle", ProblemBundle())
         with pytest.raises(BundleError):
             run_recipe("policy-gradient", ProblemBundle())
+
+    @pytest.mark.parametrize("rec", registry(), ids=lambda r: r.name)
+    def test_empty_bundle_names_every_requirement(self, rec):
+        with pytest.raises(BundleError) as exc:
+            run_recipe(rec.name, ProblemBundle())
+        assert str(exc.value) == f"bundle is missing: {', '.join(rec.requires)}"
 
     def test_incompatible_pair(self, toy_dataset):
         b = ProblemBundle(dataset=toy_dataset)

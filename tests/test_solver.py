@@ -22,6 +22,8 @@ class TestSEConfig:
             SEConfig(student="magic")
         with pytest.raises(ValueError):
             SEConfig(beta=-0.1)
+        with pytest.raises(ValueError):
+            SEConfig(q_decomposition="fixed_x_marginals")
 
 
 class TestClosedFormTeacher:

@@ -1,6 +1,7 @@
 """Engine-wide source rules: no runtime `assert` (python -O strips it), no
 `while` loop (each loop is bounded, so it converges or raises a typed error),
-no `SEConfig` field that nothing reads, and no engine import in the oracles."""
+no `SEConfig` field that nothing reads, no import that nothing uses, and no
+engine import in the oracles."""
 import ast
 import dataclasses
 from pathlib import Path
@@ -61,3 +62,24 @@ def test_oracles_import_nothing_from_sekit():
             bad += [f"oracles.py:{node.lineno}" for alias in node.names
                     if alias.name.split(".")[0] == "sekit"]
     assert bad == []
+
+
+def _unused_imports(path):
+    tree = _parse(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_import(path):
+    # __init__.py imports to re-export; every other import must be used
+    assert _unused_imports(path) == []
