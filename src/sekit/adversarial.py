@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import Dist, normalize_log
+from .core import Dist, logsumexp, normalize_log
 from .divergence import DivergenceFn, divergence
 from .models import SoftmaxModel
 from .solver import ModeUnsupported, Trace
@@ -247,9 +246,9 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
         div = DivergenceFn("js")
     trace = Trace()
     converged = False
+    p_theta = model.dist()  # rebuilt once per model update
     for it in range(1, iters + 1):
         t0 = time.perf_counter()
-        p_theta = model.dist()
         if recipe == "ppo_gan":
             disc = reweighted_discriminator_update(
                 disc, p_data, model, steps=disc_steps, step_size=disc_step_size)
@@ -270,22 +269,24 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
             # mirror-descent step must shrink for the cycle to close
             model = model.with_theta(model.log_probs()
                                      + model_step_size / np.sqrt(it) * phi)
-        gap = divergence(div, model.dist(), p_data)
+        p_theta = model.dist()
+        gap = divergence(div, p_theta, p_data)
+        tv = p_theta.tv(p_data)
         ms = (time.perf_counter() - t0) * 1000.0
         trace.add(iteration=it, neg_alpha_h=0.0, beta_d=gap, neg_e_q_f=0.0,
-                  total=gap, tv_to_ref=model.dist().tv(p_data), ms=ms)
-        if model.dist().tv(p_data) <= tol:
+                  total=gap, tv_to_ref=tv, ms=ms)
+        if tv <= tol:
             converged = True
             break
     if recipe == "vanilla_gan":
         # polish the classifier against the final model so sigma reflects the
         # optimum p_d / (p_d + q) at the returned pair
-        disc = discriminator_update(disc, p_data, model.dist(), steps=400,
+        disc = discriminator_update(disc, p_data, p_theta, steps=400,
                                     step_size=4.0, objective="classification")
     elif recipe == "wgan":
         # polish the critic against the final model so its objective reflects
         # the actual W1 gap of the returned pair
-        disc = discriminator_update(disc, p_data, model.dist(),
+        disc = discriminator_update(disc, p_data, p_theta,
                                     objective="separation")
     trace.converged = converged
     return AdversarialResult(model, disc, trace, converged)

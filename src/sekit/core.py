@@ -1,7 +1,9 @@
-"""Finite domains, exact probability vectors, and Shannon entropy.
+"""Finite domains, exact probability vectors, log-sum-exp and Shannon
+entropy.
 
 All probability arithmetic is carried in log space with max-shifted
-log-sum-exp so that hard-zero scores (-inf) are first-class citizens.
+log-sum-exp (`logsumexp`) so that hard-zero scores (-inf) are first-class
+citizens.
 """
 from __future__ import annotations
 
@@ -9,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 SUM_TOL = 1e-9
 POINTWISE_TOL = 1e-12
@@ -91,6 +92,37 @@ class Domain:
     def product(x_labels: Sequence[str], y_labels: Sequence[str]) -> "Domain":
         labels = tuple(f"{x}|{y}" for x in x_labels for y in y_labels)
         return Domain(labels, (len(x_labels), len(y_labels)))
+
+
+def logsumexp(a, axis=None, keepdims=False):
+    """log(sum(exp(a))) over `axis` for real, non-empty `a`, bit for bit as
+    `scipy.special.logsumexp` computes it without that function's dispatch.
+
+    The largest term is split out: with m entries equal to the max,
+    log(sum) = log1p(rest / m) + log(m) + max, where `rest` sums the other
+    terms shifted by the max (Blanchard, Higham & Higham, "Accurately
+    computing the log-sum-exp and softmax functions", IMA J. Numer. Anal.
+    2021).  Where that is not finite (an all -inf slice, an inf or nan
+    entry) the result is log(sum(exp(a))).  A 0-d result is a numpy scalar.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the ufunc reductions are what np.max and np.sum call, minus their
+        # per-call wrapping, which dominates on the engine's short vectors
+        a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
+        top = a == a_max
+        m = np.add.reduce(top, axis=axis, keepdims=True, dtype=a.dtype)
+        rest = np.exp(np.where(top, -np.inf, a) - a_max)
+        s = np.add.reduce(rest, axis=axis, keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.add.reduce(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    if not keepdims:
+        out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def safe_log(x: np.ndarray) -> np.ndarray:

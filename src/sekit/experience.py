@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import Domain, safe_log
+from .core import Domain, logsumexp, safe_log
 from .models import ConditionalSoftmaxModel
 
 

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import Dist, Domain, safe_log
+from .core import Dist, Domain, logsumexp, safe_log
 
 
 class IndexOutOfRange(IndexError):
@@ -238,21 +237,17 @@ def exact_fit(model: Model, q: Dist) -> Model:
         q_xy = q.p.reshape(nx, ny)
         q_x = q_xy.sum(axis=1)
         theta = model.theta.copy()
-        for x in range(nx):
-            if q_x[x] > 0:
-                theta[x] = safe_log(q_xy[x] / q_x[x])
+        live = q_x > 0  # an x without mass keeps its old logits
+        theta[live] = safe_log(q_xy[live] / q_x[live, None])
         return model.with_theta(theta)
     if isinstance(model, MixtureModel):
         nx, k = model.domain.factor_sizes
         q_xy = q.p.reshape(nx, k)
         q_y = q_xy.sum(axis=0)
         mix = safe_log(q_y)
-        comp = np.empty((k, nx))
-        for y in range(k):
-            if q_y[y] > 0:
-                comp[y] = safe_log(q_xy[:, y] / q_y[y])
-            else:
-                comp[y] = model.component_logits[y]
+        comp = model.component_logits.copy()
+        live = q_y > 0  # a component without mass keeps its old logits
+        comp[live] = safe_log(q_xy[:, live].T / q_y[live, None])
         return model.with_logits(mix, comp)
     raise TypeError(f"unsupported model type {type(model)!r}")
 

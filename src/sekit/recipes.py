@@ -10,7 +10,9 @@ oracle's check and reports the result under the recipe's comparison contract.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -53,7 +55,8 @@ class Recipe:
     """A named point in the algorithm space.
 
     `run(config, bundle, seed, **params)` runs the recipe at `config` after
-    `run_recipe` has checked that the bundle has every field in `requires`.
+    `run_recipe` has checked that the bundle has every field in `requires`
+    and that `run` takes every keyword in `params`.
     `checks` maps oracle name to check, default oracle first; `contract` is
     the comparison mode of the default oracle.  For a `fixed_iters` recipe,
     finishing the loop is success.
@@ -87,7 +90,15 @@ def get_recipe(name: str) -> Recipe:
 
 def run_recipe(name: str, bundle: ProblemBundle, seed: int = 0,
                **params) -> RecipeResult:
+    """Run a recipe on a bundle.  `params` are keyword parameters of the
+    recipe's runner; one that it does not take raises IncompatiblePair."""
     rec = get_recipe(name)
+    takes = list(inspect.signature(rec.run).parameters)[3:]
+    unknown = [p for p in params if p not in takes]
+    if unknown:
+        raise IncompatiblePair(
+            f"recipe {name!r} takes no parameter {unknown[0]!r} "
+            f"(it takes: {', '.join(takes) or 'none'})")
     bundle.require(*rec.requires)
     return rec.run(rec.config, bundle, seed, **params)
 
@@ -104,18 +115,18 @@ def _mle_like(config: SEConfig, fn: ExperienceFn,
     return RecipeResult(model, trace, model.dist())
 
 
-def _run_supervised(config, bundle, seed, **params) -> RecipeResult:
+def _run_supervised(config, bundle, seed) -> RecipeResult:
     ref = Dist.from_probs(bundle.dataset.empirical())
     return _mle_like(config, f_data(bundle.dataset), reference=ref)
 
 
-def _run_self_supervised(config, bundle, seed, **params) -> RecipeResult:
+def _run_self_supervised(config, bundle, seed) -> RecipeResult:
     prod = bundle.product_domain
     return _mle_like(config, f_data_self(bundle.dataset, prod.unpair, prod))
 
 
 def _run_unsupervised(config, bundle, seed, iters=20, alpha=None,
-                      init_mix=None, init_comp=None, **params) -> RecipeResult:
+                      init_mix=None, init_comp=None) -> RecipeResult:
     """EM as teacher-student: dataset over X, K-component mixture model."""
     k = bundle.n_components
     nx = bundle.dataset.domain.size
@@ -141,11 +152,11 @@ def _run_unsupervised(config, bundle, seed, iters=20, alpha=None,
     return RecipeResult(model, trace, extras={"history": history, "p_x": p_x})
 
 
-def _run_reweighting(config, bundle, seed, **params) -> RecipeResult:
+def _run_reweighting(config, bundle, seed) -> RecipeResult:
     return _mle_like(config, f_data_weighted(bundle.dataset))
 
 
-def _run_augmentation(config, bundle, seed, **params) -> RecipeResult:
+def _run_augmentation(config, bundle, seed) -> RecipeResult:
     kernel = raml_kernel(bundle.payoff)
     fn = f_data_augmented(bundle.dataset, kernel)
     result = _mle_like(config, fn)
@@ -157,7 +168,7 @@ def _run_augmentation(config, bundle, seed, **params) -> RecipeResult:
     return result
 
 
-def _run_active(config, bundle, seed, n_labels=None, **params) -> RecipeResult:
+def _run_active(config, bundle, seed, n_labels=None) -> RecipeResult:
     labels = bundle.oracle_labels
     ny = n_labels if n_labels is not None else int(labels.max()) + 1
     prod = Domain.product(bundle.pool.domain.labels,
@@ -173,8 +184,7 @@ def _run_active(config, bundle, seed, n_labels=None, **params) -> RecipeResult:
     return result
 
 
-def _run_posterior_reg(config, bundle, seed, iters=10,
-                       **params) -> RecipeResult:
+def _run_posterior_reg(config, bundle, seed, iters=10) -> RecipeResult:
     """Rule-tilted conditional learning on a product domain."""
     prod = bundle.product_domain
     if prod is None:
@@ -225,7 +235,7 @@ def _mdp_teacher(config, bundle, seed, mode, **fkw):
     return RecipeResult(policy, trace, extras=extras), f_vals
 
 
-def _run_policy_gradient(config, bundle, seed, **params) -> RecipeResult:
+def _run_policy_gradient(config, bundle, seed) -> RecipeResult:
     """One teacher step at f = log Q; adds the student gradient and Z."""
     result, f_vals = _mdp_teacher(config, bundle, seed, "log_q")
     policy, q = result.model, result.extras["q"]
@@ -238,7 +248,7 @@ def _run_policy_gradient(config, bundle, seed, **params) -> RecipeResult:
     return result
 
 
-def _run_intrinsic(config, bundle, seed, **params) -> RecipeResult:
+def _run_intrinsic(config, bundle, seed) -> RecipeResult:
     mdp = bundle.mdp
     intrinsic = np.asarray(bundle.extras.get("intrinsic_rewards",
                                              np.ones_like(mdp.rewards) * 0.1),
@@ -249,8 +259,7 @@ def _run_intrinsic(config, bundle, seed, **params) -> RecipeResult:
     return result
 
 
-def _run_rl_inference(config, bundle, seed, rho=None,
-                      **params) -> RecipeResult:
+def _run_rl_inference(config, bundle, seed, rho=None) -> RecipeResult:
     rho = bundle.rho if rho is None else rho
     result, f_vals = _mdp_teacher(replace(config, alpha=rho, beta=rho), bundle,
                                   seed, "q")
@@ -258,25 +267,29 @@ def _run_rl_inference(config, bundle, seed, rho=None,
     return result
 
 
-def _run_distillation(config, bundle, seed, **params) -> RecipeResult:
+def _run_distillation(config, bundle, seed) -> RecipeResult:
     result = _mle_like(config, f_model_mimic(bundle.dataset, bundle.source_model))
     result.extras = {"source": bundle.source_model}
     return result
 
 
-def _run_gan(config, bundle, seed, recipe="vanilla_gan", iters=5000,
-             **params) -> RecipeResult:
+def _run_gan(recipe, config, bundle, seed, iters=5000, disc_steps=5,
+             disc_step_size=4.0, model_step_size=0.5, clip=1.0,
+             tol=1e-3) -> RecipeResult:
+    """`adversarial_run`, with its defaults, from a seeded model."""
     n = bundle.p_data.size
     rng = np.random.default_rng(seed)
     model = SoftmaxModel(rng.normal(size=n) * 0.5, Domain.of_size(n))
     res = adversarial_run(recipe, bundle.p_data, model, iters=iters,
-                          coords=bundle.coords, **params)
+                          disc_steps=disc_steps, disc_step_size=disc_step_size,
+                          model_step_size=model_step_size, clip=clip,
+                          coords=bundle.coords, tol=tol)
     return RecipeResult(res.model, res.trace, res.model.dist(),
                         extras={"discriminator": res.discriminator,
                                 "converged": res.converged})
 
 
-def _run_mw(config, bundle, seed, alpha=None, **params) -> RecipeResult:
+def _run_mw(config, bundle, seed, alpha=None) -> RecipeResult:
     rows = bundle.rewards
     T, K = rows.shape
     if alpha is None:
@@ -292,8 +305,7 @@ def _run_mw(config, bundle, seed, alpha=None, **params) -> RecipeResult:
                                                 "alpha": alpha})
 
 
-def _run_interpolation(config, bundle, seed, iters_per_stage=10,
-                       **params) -> RecipeResult:
+def _run_interpolation(config, bundle, seed, iters_per_stage=10) -> RecipeResult:
     dom = bundle.dataset.domain
     reward = np.asarray(bundle.extras.get("reward", bundle.payoff.mean(axis=0)),
                         dtype=float)
@@ -571,11 +583,6 @@ _UNIT = SEConfig(alpha=1.0, beta=1.0)
 _GAN = SEConfig(alpha=0.0, beta=1.0)
 
 
-def _gan(kind: str) -> Callable[..., RecipeResult]:
-    return lambda config, bundle, seed, **params: _run_gan(config, bundle, seed,
-                                                           kind, **params)
-
-
 _RECIPES: Dict[str, Recipe] = {r.name: r for r in [
     Recipe("supervised-mle",
            "Cross-entropy fit to labeled data: alpha=1, beta=epsilon, "
@@ -640,16 +647,16 @@ _RECIPES: Dict[str, Recipe] = {r.name: r for r in [
            _run_distillation, {"enumeration": _check_distillation}),
     Recipe("vanilla-gan",
            "alpha=0, beta=1, JS divergence, classifier discriminator.",
-           ("p_data",), _GAN, "adversarial", _gan("vanilla_gan"),
+           ("p_data",), _GAN, "adversarial", partial(_run_gan, "vanilla_gan"),
            {"gan-optimum": _check_vanilla_gan}),
     Recipe("wgan",
            "alpha=0, beta=1, Wasserstein-1 with a Lipschitz critic.",
-           ("p_data",), _GAN, "adversarial", _gan("wgan"),
+           ("p_data",), _GAN, "adversarial", partial(_run_gan, "wgan"),
            {"brute-w1": _check_wgan}),
     Recipe("ppo-gan",
            "alpha=0+, beta=1, KL; importance-reweighted discriminator and "
            "an exact tilt step for the model.",
-           ("p_data",), _GAN, "fixed-point", _gan("ppo_gan"),
+           ("p_data",), _GAN, "fixed-point", partial(_run_gan, "ppo_gan"),
            {"reweighted-identity": _check_ppo_gan}),
     Recipe("multiplicative-weights",
            "Online expert weighting p <- p exp(reward/alpha)/Z; identical "

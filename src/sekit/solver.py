@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import AllNegInfinity, Dist, Domain, entropy, normalize_log
+from .core import (AllNegInfinity, Dist, Domain, entropy, logsumexp,
+                   normalize_log)
 from .divergence import CE, divergence
 from .experience import ExperienceFn
 from .models import (ConditionalSoftmaxModel, MixtureModel, Model, exact_fit,
@@ -178,7 +178,8 @@ def _decomposed_teacher(config: SEConfig, model: Model, f_vals: np.ndarray,
     """
     nx, ny = domain.factor_sizes
     # rows with p_x = 0 stay -inf; the model marginal may be 0 there too
-    rows = np.flatnonzero(np.asarray(p_x) > 0)
+    p_x = np.asarray(p_x, dtype=float)
+    rows = np.flatnonzero(p_x > 0)
     if isinstance(model, MixtureModel):
         log_joint = model.log_joint()[rows]
         log_marginal = model.log_marginal_x()[rows]
@@ -193,24 +194,25 @@ def _decomposed_teacher(config: SEConfig, model: Model, f_vals: np.ndarray,
     f_mat = np.asarray(f_vals, dtype=float).reshape(nx, ny)
     # any x-only part of f is constant per row and cancels in the per-row
     # normalization; only the y-dependence of f tilts the conditional.
+    scores = _tilt_scores(log_cond, f_mat[rows], config.beta)
+    # log_z (the top score at alpha = 0) is -inf only on an all -inf row
+    if config.alpha == 0:
+        top = (np.arange(rows.size), np.argmax(scores, axis=1))  # first maximizer
+        log_z = scores[top]
+    else:
+        scores = scores / config.alpha
+        log_z = logsumexp(scores, axis=1)
+    dead = np.flatnonzero(log_z == -np.inf)
+    if dead.size:
+        raise AllNegInfinity(
+            f"teacher scores are all -inf at observed x = {rows[dead[0]]}")
+    if config.alpha == 0:
+        cond = np.full(scores.shape, -np.inf)
+        cond[top] = 0.0
+    else:
+        cond = scores - log_z[:, None]
     joint = np.full((nx, ny), -np.inf)
-    for i, x in enumerate(rows):
-        scores = _tilt_scores(log_cond[i], f_mat[x], config.beta)
-        # log_z (the top score at alpha = 0) is -inf only on an all -inf row;
-        # a scalar test keeps the EM E-step's per-row cost unchanged
-        if config.alpha == 0:
-            best = int(np.argmax(scores))
-            log_z = scores[best]
-        else:
-            log_z = logsumexp(scores / config.alpha)
-        if log_z == -np.inf:
-            raise AllNegInfinity(f"teacher scores are all -inf at observed x = {x}")
-        if config.alpha == 0:
-            cond = np.full(ny, -np.inf)
-            cond[best] = 0.0
-        else:
-            cond = scores / config.alpha - log_z
-        joint[x] = np.log(p_x[x]) + cond
+    joint[rows] = np.log(p_x[rows])[:, None] + cond
     return Dist(joint.ravel())
 
 

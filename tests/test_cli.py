@@ -112,6 +112,16 @@ class TestRun:
         assert trace["converged"] is False
         assert code == 2
 
+    def test_unknown_param_exits_one(self, workspace, capsys):
+        cfg = {"recipe": "supervised-mle", "problem": "toy.json",
+               "params": {"iters": 3}}
+        (workspace / "run.json").write_text(json.dumps(cfg))
+        out = workspace / "out"
+        assert main(["run", "--config", str(workspace / "run.json"),
+                     "--out", str(out)]) == 1
+        assert "'iters'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCheck:
     def test_pass_exit_zero(self, workspace, capsys):

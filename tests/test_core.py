@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sekit.core import (AllNegInfinity, BoundaryPoint, Dist, Domain, entropy,
-                        entropy_grad, normalize_log)
+                        entropy_grad, logsumexp, normalize_log)
 
 finite_scores = arrays(np.float64, st.integers(2, 12),
                        elements=st.floats(-30, 30))
@@ -118,6 +121,48 @@ class TestNormalizeLog:
         a = normalize_log(scores)
         b = normalize_log(scores + c)
         assert np.max(np.abs(a.p - b.p)) <= 1e-12
+
+
+def _lse_inputs():
+    """Seeded draws with -inf entries, ties at the max, all -inf slices, a
+    +inf entry and a 1e5-vector, over several shapes and magnitudes."""
+    rng = np.random.default_rng(24)
+    for i in range(600):
+        shape = [(10,), (1,), (7, 4), (3, 1), (2, 3, 5)][i % 5]
+        a = rng.normal(size=shape) * [1.0, 40.0, 800.0][i % 3]
+        if i % 2:
+            a[rng.random(shape) < 0.3] = -np.inf
+        if i % 4 == 1:
+            a = np.round(a)  # ties, including at the max
+        if i % 7 == 0:
+            a[..., 0] = -np.inf
+            a[..., -1] = -np.inf
+        if i % 11 == 0:
+            a[...] = -np.inf
+        if i % 13 == 0:
+            a.flat[0] = np.inf
+        yield a
+    big = rng.normal(size=100_000) * 30.0
+    big[::9] = -np.inf
+    yield big
+    yield big.reshape(100, 1000)
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    # scipy is the reference; the result and its type must be identical
+    n = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in _lse_inputs():
+            for axis in (None, -1, 0):
+                for keepdims in (False, True):
+                    want = scipy.special.logsumexp(a, axis=axis, keepdims=keepdims)
+                    got = logsumexp(a, axis=axis, keepdims=keepdims)
+                    assert type(got) is type(want)
+                    assert np.shape(got) == np.shape(want)
+                    assert np.array_equal(got, want), (a, axis, keepdims)
+                    n += 1
+    assert n == 602 * 6
 
 
 class TestEntropy:

@@ -77,6 +77,18 @@ class TestConditionalSoftmaxModel:
         cond = q_xy / q_xy.sum(axis=1, keepdims=True)
         assert np.max(np.abs(m.probs() - cond)) <= 1e-12
 
+    def test_exact_fit_keeps_zero_mass_row(self, rng):
+        dom = Domain.product(("a", "b", "c"), ("u", "v", "w"))
+        m = ConditionalSoftmaxModel(rng.normal(size=(3, 3)), dom)
+        q_xy = rng.dirichlet(np.ones(9)).reshape(3, 3)
+        q_xy[1] = 0.0  # x = 1 gets no mass
+        q_xy[2, 0] = 0.0
+        fitted = exact_fit(m, Dist.from_probs((q_xy / q_xy.sum()).ravel()))
+        assert np.array_equal(fitted.theta[1], m.theta[1])
+        cond = q_xy[[0, 2]] / q_xy[[0, 2]].sum(axis=1, keepdims=True)
+        assert np.isneginf(fitted.theta[2, 0])
+        assert np.max(np.abs(np.exp(fitted.theta[[0, 2]]) - cond)) <= 1e-15
+
 
 class TestMixtureModel:
     def make(self, rng):
@@ -121,6 +133,18 @@ class TestMixtureModel:
         assert np.max(np.abs(pi / pi.sum() - q_xy.sum(axis=0))) <= 1e-12
         # fitted model attains the optimum: no other model scores higher
         assert expected_log_prob(fitted, q) >= expected_log_prob(m, q)
+
+    def test_exact_fit_keeps_zero_mass_component(self, rng):
+        m = self.make(rng)
+        q_xy = rng.dirichlet(np.ones(8)).reshape(4, 2)
+        q_xy[:, 1] = 0.0  # component 1 gets no mass
+        q_xy[2, 0] = 0.0
+        fitted = exact_fit(m, Dist.from_probs((q_xy / q_xy.sum()).ravel()))
+        assert np.array_equal(fitted.component_logits[1], m.component_logits[1])
+        assert fitted.mixture_logits[1] == -np.inf
+        comp0 = q_xy[:, 0] / q_xy[:, 0].sum()
+        assert np.isneginf(fitted.component_logits[0, 2])
+        assert np.max(np.abs(np.exp(fitted.component_logits[0]) - comp0)) <= 1e-15
 
 
 class TestFitTo:

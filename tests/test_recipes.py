@@ -63,6 +63,21 @@ class TestValidation:
             run_recipe(rec.name, ProblemBundle())
         assert str(exc.value) == f"bundle is missing: {', '.join(rec.requires)}"
 
+    def test_unknown_param_raises(self, toy_dataset, mixture_bundle):
+        # a runner that does not read a parameter must not drop it
+        b = ProblemBundle(dataset=toy_dataset)
+        with pytest.raises(IncompatiblePair, match="no parameter 'iters'"):
+            run_recipe("supervised-mle", b, iters=3)
+        with pytest.raises(IncompatiblePair, match="no parameter 'iter'"):
+            run_recipe("unsupervised-mle", mixture_bundle, iter=3)
+        with pytest.raises(IncompatiblePair, match="no parameter 'step'"):
+            run_recipe("wgan", ProblemBundle(), iters=2, step=0.1)
+        assert issubclass(IncompatiblePair, ValueError)
+
+    def test_declared_params_are_read(self, mixture_bundle):
+        res = run_recipe("unsupervised-mle", mixture_bundle, iters=3)
+        assert len(res.trace.records) == 3
+
     def test_incompatible_pair(self, toy_dataset):
         b = ProblemBundle(dataset=toy_dataset)
         with pytest.raises(IncompatiblePair):

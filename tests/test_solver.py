@@ -136,6 +136,84 @@ class TestDecomposedTeacher:
                 _decomposed_teacher(SEConfig(alpha=alpha, beta=1.0), model,
                                     f.ravel(), np.array([0.4, 0.3, 0.3]), domain)
 
+    @staticmethod
+    def _hard_zero_models(rng):
+        """A mixture and a conditional model on 6 x 3 with hard zeros, and an
+        f with -inf entries.  On x = 1 and x = 5 the model's support and f's
+        are disjoint, so those rows are all -inf exactly when beta > 0; x = 3
+        is all -inf but unobserved."""
+        domain = Domain.product(tuple("abcdef"), ("k0", "k1", "k2"))
+        comp = rng.normal(size=(3, 6))
+        comp[:, 1] = -np.inf  # mixture marginal 0 at x = 1
+        comp[[0, 2], 5] = -np.inf  # only component 1 reaches x = 5
+        comp[0, 4] = comp[2, 0] = -np.inf
+        mixture = MixtureModel(rng.normal(size=3), comp, domain)
+        theta = rng.normal(size=(6, 3))
+        theta[1, :2] = -np.inf
+        theta[5, [0, 2]] = -np.inf
+        theta[4, 0] = theta[0, 2] = -np.inf
+        conditional = ConditionalSoftmaxModel(theta, domain)
+        f = rng.normal(size=(6, 3))
+        f[1, 2] = -np.inf  # disjoint from both models' support at x = 1
+        f[5, 1] = -np.inf  # and at x = 5
+        f[3] = -np.inf
+        f[2, 0] = -np.inf
+        p_x = np.array([0.2, 0.1, 0.25, 0.0, 0.3, 0.15])
+        return domain, {"mixture": mixture, "conditional": conditional}, f, p_x
+
+    @staticmethod
+    def _rowwise_closed_form(log_cond, f, p_x, alpha, beta):
+        """The reference: teacher_closed_form on each observed row."""
+        ny = f.shape[1]
+        joint = np.full(f.shape, -np.inf)
+        for x in np.flatnonzero(p_x > 0):
+            lc = log_cond[x]
+            if np.all(np.isneginf(lc)):
+                if beta > 0:
+                    raise AllNegInfinity(f"observed x = {x}")
+                lc = np.full(ny, -np.log(ny))  # beta = 0 ignores the model
+            try:
+                q = teacher_closed_form(Dist(lc), f[x], alpha, beta)
+            except AllNegInfinity:
+                raise AllNegInfinity(f"observed x = {x}") from None
+            joint[x] = np.log(p_x[x]) + q.logp
+        return joint.ravel()
+
+    @pytest.mark.parametrize("unobserved", [(), (1,), (1, 5)])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["mixture", "conditional"])
+    def test_matches_rowwise_closed_form(self, rng, kind, alpha, beta,
+                                         unobserved):
+        domain, models, f, p_x = self._hard_zero_models(rng)
+        p_x[list(unobserved)] = 0.0
+        p_x /= p_x.sum()
+        model = models[kind]
+        if kind == "mixture":
+            lj = model.log_joint()
+            with np.errstate(divide="ignore", invalid="ignore"):  # x = 1: log 0
+                log_cond = lj - np.log(np.exp(lj).sum(axis=1, keepdims=True))
+            log_cond[1] = -np.inf
+        else:
+            log_cond = model.log_probs()
+        config = SEConfig(alpha=alpha, beta=beta)
+        try:
+            want = self._rowwise_closed_form(log_cond, f, p_x, alpha, beta)
+        except AllNegInfinity as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(AllNegInfinity) as got:
+                    _decomposed_teacher(config, model, f.ravel(), p_x, domain)
+            assert str(got.value).endswith(str(exc))
+            assert str(exc) == f"observed x = {1 if not unobserved else 5}"
+            assert beta > 0 and len(unobserved) < 2
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = _decomposed_teacher(config, model, f.ravel(), p_x, domain)
+        assert np.array_equal(np.isneginf(q.logp), np.isneginf(want))
+        assert np.max(np.abs(q.p - np.exp(want))) <= 1e-12
+
 
 class TestRunAndTrace:
     def test_trace_total_is_sum(self, toy_dataset, rng):

@@ -1,7 +1,7 @@
 """Engine-wide source rules: no runtime `assert` (python -O strips it), no
 `while` loop (each loop is bounded, so it converges or raises a typed error),
-no `SEConfig` field that nothing reads, no import that nothing uses, and no
-engine import in the oracles."""
+no `SEConfig` field that nothing reads, no import that nothing uses, no
+engine import in the oracles, and no `scipy.special` in the engine."""
 import ast
 import dataclasses
 from pathlib import Path
@@ -62,6 +62,27 @@ def test_oracles_import_nothing_from_sekit():
             bad += [f"oracles.py:{node.lineno}" for alias in node.names
                     if alias.name.split(".")[0] == "sekit"]
     assert bad == []
+
+
+def _scipy_special_imports(path):
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(n.startswith("scipy.special") for n in names):
+            yield f"{path.name}:{node.lineno}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name not in ("oracles.py", "recipes.py")],
+                         ids=lambda p: p.name)
+def test_engine_does_not_import_scipy_special(path):
+    # the engine uses core.logsumexp; the oracles, and the check targets in
+    # recipes, keep scipy's as an independent reference
+    assert list(_scipy_special_imports(path)) == []
 
 
 def _unused_imports(path):
