@@ -74,10 +74,6 @@ class TestValidation:
             run_recipe("wgan", ProblemBundle(), iters=2, step=0.1)
         assert issubclass(IncompatiblePair, ValueError)
 
-    def test_declared_params_are_read(self, mixture_bundle):
-        res = run_recipe("unsupervised-mle", mixture_bundle, iters=3)
-        assert len(res.trace.records) == 3
-
     def test_incompatible_pair(self, toy_dataset):
         b = ProblemBundle(dataset=toy_dataset)
         with pytest.raises(IncompatiblePair):
