@@ -1,11 +1,12 @@
 """Exact tabular MDP machinery: Q-functions, discounted visitation measures,
 the analytic policy gradient, and reward experience functions.
 
-A policy is evaluated in state space at every size: one dense S x S solve
-(I - gamma T_pi) V = r_pi gives V, and Q = r + gamma P V follows (Puterman,
-Markov Decision Processes, 1994, sec. 6.1).  Solves are exact, so oracle
-comparisons are too; a Q that misses its Bellman equation by more than
-BELLMAN_TOL raises BellmanResidual.
+A policy is evaluated in state space at every size, with one LU
+factorisation of I - gamma T_pi per evaluation (Puterman, Markov Decision
+Processes, 1994, sec. 6.1).  Solving it as-is for r_pi gives V, and
+Q = r + gamma P V follows; solving it transposed for p0 gives the visitation
+mu.  Solves are exact, so oracle comparisons are too; a Q that misses its
+Bellman equation by more than BELLMAN_TOL raises BellmanResidual.
 """
 from __future__ import annotations
 
@@ -20,10 +21,6 @@ from .experience import ExperienceFn
 from .models import ConditionalSoftmaxModel
 
 BELLMAN_TOL = 1e-8
-
-
-class SingularSystem(ValueError):
-    pass
 
 
 class BellmanResidual(ValueError):
@@ -115,29 +112,51 @@ class QTable:
     policy: ConditionalSoftmaxModel
 
     def bellman_residual(self) -> float:
-        pi = self.policy.probs()
-        v = (pi * self.q).sum(axis=1)  # (S,)
-        backup = self.mdp.rewards + self.mdp.gamma * self.mdp.transitions @ v
-        return float(np.max(np.abs(self.q - backup)))
+        return _residual(self.mdp, self.policy.probs(), self.q, self.mdp.rewards)
 
 
-def _pi_matrix(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> np.ndarray:
+def _backup(mdp: TabularMDP, rewards: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """r(s,a) + gamma sum_s' P(s'|s,a) v(s'), over P as one (S*A) x S matrix."""
+    S, A = rewards.shape
+    return rewards + mdp.gamma * (mdp.transitions.reshape(S * A, S) @ v).reshape(S, A)
+
+
+def _residual(mdp: TabularMDP, pi: np.ndarray, q: np.ndarray,
+              rewards: np.ndarray) -> float:
+    return float(np.max(np.abs(q - _backup(mdp, rewards, (pi * q).sum(axis=1)))))
+
+
+def _evaluate(mdp: TabularMDP, policy: ConditionalSoftmaxModel):
+    """pi and the LU factors of I - gamma T_pi, T_pi[s, s'] = sum_a pi(a|s) P(s'|s,a).
+
+    The one factorisation of a policy evaluation: V solves it as-is, the
+    visitation mu transposed.
+    """
+    # imported here: at module top the import raises the peak memory of
+    # every run, MDP or not
+    from scipy.linalg import lu_factor
     pi = policy.probs()
     if pi.shape != (mdp.n_states, mdp.n_actions):
         raise ValueError("policy shape does not match the MDP")
-    return pi
+    T = np.einsum("ij,ijk->ik", pi, mdp.transitions)
+    return pi, lu_factor(np.eye(mdp.n_states) - mdp.gamma * T)
 
 
-def _state_transitions(mdp: TabularMDP, pi: np.ndarray) -> np.ndarray:
-    """S x S matrix T[s, s'] = sum_a pi(a|s) P(s'|s,a)."""
-    return np.einsum("ij,ijk->ik", pi, mdp.transitions)
+def _solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve (I - gamma T_pi) x = b, or its transpose with trans=1."""
+    from scipy.linalg import lu_solve  # see _evaluate
+    return lu_solve(lu, b, trans=trans)
 
 
-def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:  # cannot occur for gamma < 1
-        raise SingularSystem(str(exc)) from exc
+def _q(mdp: TabularMDP, pi: np.ndarray, lu, rewards: np.ndarray) -> np.ndarray:
+    """Q of the factored policy at `rewards`: V = (I - gamma T_pi)^-1 r_pi and
+    Q = r + gamma P V.  Raises BellmanResidual if Q misses its Bellman
+    equation by more than BELLMAN_TOL."""
+    q = _backup(mdp, rewards, _solve(lu, (pi * rewards).sum(axis=1)))
+    residual = _residual(mdp, pi, q, rewards)
+    if not residual <= BELLMAN_TOL:
+        raise BellmanResidual(residual)
+    return q
 
 
 def q_function(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> QTable:
@@ -147,59 +166,34 @@ def q_function(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> QTable:
     Raises BellmanResidual if the result misses its Bellman equation by more
     than BELLMAN_TOL.
     """
-    pi = _pi_matrix(mdp, policy)
-    M = np.eye(mdp.n_states) - mdp.gamma * _state_transitions(mdp, pi)
-    v = _solve(M, (pi * mdp.rewards).sum(axis=1))
-    table = QTable(mdp.rewards + mdp.gamma * mdp.transitions @ v, mdp, policy)
-    residual = table.bellman_residual()
-    if not residual <= BELLMAN_TOL:
-        raise BellmanResidual(residual)
-    return table
+    pi, lu = _evaluate(mdp, policy)
+    return QTable(_q(mdp, pi, lu, mdp.rewards), mdp, policy)
 
 
 def visitation(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> np.ndarray:
     """Unnormalized discounted state visitation mu = p0 + gamma T^T mu."""
-    T = _state_transitions(mdp, _pi_matrix(mdp, policy))
-    return _solve(np.eye(mdp.n_states) - mdp.gamma * T.T, mdp.p0)
+    _, lu = _evaluate(mdp, policy)
+    return _solve(lu, mdp.p0, trans=1)
 
 
 def exact_policy_gradient(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> np.ndarray:
     """Policy-gradient theorem: sum_s mu(s) sum_a Q(s,a) d pi(a|s) / d theta.
 
-    Returns an (S, A) gradient over the policy logits.
+    Returns an (S, A) gradient over the policy logits.  Q and mu share one
+    factorisation.
     """
-    pi = _pi_matrix(mdp, policy)
-    q = q_function(mdp, policy).q
-    mu = visitation(mdp, policy)
+    pi, lu = _evaluate(mdp, policy)
+    q = _q(mdp, pi, lu, mdp.rewards)
+    mu = _solve(lu, mdp.p0, trans=1)
     baseline = (pi * q).sum(axis=1, keepdims=True)
     return mu[:, None] * pi * (q - baseline)
 
 
 def policy_value(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> float:
     """J(theta) = sum_s p0(s) sum_a pi(a|s) Q(s,a)."""
-    pi = _pi_matrix(mdp, policy)
-    q = q_function(mdp, policy).q
+    pi, lu = _evaluate(mdp, policy)
+    q = _q(mdp, pi, lu, mdp.rewards)
     return float(mdp.p0 @ (pi * q).sum(axis=1))
-
-
-def grad_q_logits(mdp: TabularMDP, policy: ConditionalSoftmaxModel,
-                  q: Optional[np.ndarray] = None) -> np.ndarray:
-    """dQ(s,a)/dtheta(s~,b): analytic derivative of the Bellman solution.
-
-    Returns a (S, A, S, A) tensor.  With Q = r + gamma P V and
-    V = (I - gamma T_pi)^-1 r_pi, theta(s~, b) moves only row s~ of pi, so
-        dQ[:, :, s~, b] = gamma P (I - gamma T_pi)^-1[:, s~]
-                          * pi(b|s~) (Q(s~,b) - V(s~)).
-    """
-    S = mdp.n_states
-    pi = _pi_matrix(mdp, policy)
-    if q is None:
-        q = q_function(mdp, policy).q
-    Minv = _solve(np.eye(S) - mdp.gamma * _state_transitions(mdp, pi), np.eye(S))
-    # dpi(a'|s~)/dtheta(s~,b) = pi(a'|s~) (1[a'=b] - pi(b|s~)), so the
-    # derivative of r_pi + gamma T_pi V at s~ is pi(b|s~) (Q(s~,b) - V(s~))
-    advantage = pi * (q - (pi * q).sum(axis=1, keepdims=True))  # (S~, B)
-    return (mdp.gamma * mdp.transitions @ Minv)[:, :, :, None] * advantage
 
 
 def f_reward(mdp: TabularMDP, mode: str = "log_q",
@@ -208,16 +202,22 @@ def f_reward(mdp: TabularMDP, mode: str = "log_q",
     """Theta-dependent reward experience over the state-action domain.
 
     Modes: "log_q" (log of the exact Q), "q" (raw Q, for RL-as-inference with
-    alpha = beta = rho), "q_plus_intrinsic" (log of extrinsic plus intrinsic
-    Q).  Q is re-solved from the current policy on every evaluation.
+    alpha = beta = rho), "q_plus_intrinsic" (log of the Q of the summed
+    rewards r + r_intrinsic, which is extrinsic plus intrinsic Q since Q is
+    linear in r).  Each evaluation solves once, on one factorisation for the
+    current policy.
 
     In the log modes, if min Q <= 0 a reward offset c (auto-chosen unless
     given) shifts r -> r + c; the applied offset lands in `diagnostics`.
     """
     if mode not in ("log_q", "q", "q_plus_intrinsic"):
         raise ValueError(f"unknown reward mode {mode!r}")
-    if mode == "q_plus_intrinsic" and intrinsic_rewards is None:
-        raise ValueError("q_plus_intrinsic mode requires intrinsic rewards")
+    rewards = mdp.rewards
+    if mode == "q_plus_intrinsic":
+        if intrinsic_rewards is None:
+            raise ValueError("q_plus_intrinsic mode requires intrinsic rewards")
+        intrinsic = np.asarray(intrinsic_rewards, dtype=float)
+        rewards = rewards + intrinsic.reshape(rewards.shape)
     domain = mdp.domain()
     fn = ExperienceFn(domain, lambda model: None, theta_dependent=True,
                       name=f"reward-{mode}")
@@ -225,14 +225,10 @@ def f_reward(mdp: TabularMDP, mode: str = "log_q",
     def evaluate(policy):
         if not isinstance(policy, ConditionalSoftmaxModel):
             raise TypeError("reward experience needs the current policy")
-        q = q_function(mdp, policy).q
+        pi, lu = _evaluate(mdp, policy)
+        total = _q(mdp, pi, lu, rewards)
         if mode == "q":
-            return q.ravel()
-        total = q
-        if mode == "q_plus_intrinsic":
-            in_mdp = TabularMDP(mdp.transitions, np.asarray(intrinsic_rewards, dtype=float),
-                                mdp.gamma, mdp.p0)
-            total = q + q_function(in_mdp, policy).q
+            return total.ravel()
         min_q = float(total.min())
         c = 0.0
         if min_q <= 0:

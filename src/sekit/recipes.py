@@ -209,39 +209,34 @@ def _run_posterior_reg(config, bundle, seed, iters=10) -> RecipeResult:
                                 "rule_values": rule_vals})
 
 
-def _sa_model_dist(mdp, policy) -> Dist:
-    """The policy's state-action distribution: normalized visitation times pi."""
-    mu = visitation(mdp, policy)
-    joint = mu[:, None] * policy.probs()
-    return Dist.from_probs((joint / joint.sum()).ravel())
-
-
 def _mdp_teacher(config, bundle, seed, mode, **fkw):
     """One teacher step from a seeded policy at the reward experience `mode`,
-    with the state-action distribution as the model.  Returns the result and
-    the values of f."""
+    with the state-action distribution (normalized visitation times pi) as
+    the model.  Returns the result, the values of f and the unnormalized
+    visitation."""
     mdp = bundle.mdp
     rng = np.random.default_rng(seed)
     policy = ConditionalSoftmaxModel(rng.normal(size=mdp.rewards.shape) * 0.3,
                                      mdp.domain())
     fn = f_reward(mdp, mode, **fkw)
     f_vals = fn.values(policy)
-    p_sa = _sa_model_dist(mdp, policy)
+    mu = visitation(mdp, policy)
+    joint = mu[:, None] * policy.probs()
+    p_sa = Dist.from_probs((joint / joint.sum()).ravel())
     q = teacher_closed_form(p_sa, f_vals, config.alpha, config.beta)
     trace = Trace()
     trace.diagnostics.update(fn.diagnostics)
     extras = {"q": q, "p_sa": p_sa,
               "offset": fn.diagnostics.get("reward_offset", 0.0)}
-    return RecipeResult(policy, trace, extras=extras), f_vals
+    return RecipeResult(policy, trace, extras=extras), f_vals, mu
 
 
 def _run_policy_gradient(config, bundle, seed) -> RecipeResult:
     """One teacher step at f = log Q; adds the student gradient and Z."""
-    result, f_vals = _mdp_teacher(config, bundle, seed, "log_q")
+    result, f_vals, mu = _mdp_teacher(config, bundle, seed, "log_q")
     policy, q = result.model, result.extras["q"]
     # Z = sum_sa mu(s) pi(a|s) exp f(s,a) over the unnormalized visitation, so
     # that the student gradient times Z is the exact policy gradient
-    mu = visitation(bundle.mdp, policy)
     z = float(np.sum((mu[:, None] * policy.probs()).ravel() * np.exp(f_vals)))
     result.extras.update(se_grad=grad_expected_log_prob(policy, q), z=z,
                          f_vals=f_vals)
@@ -253,16 +248,16 @@ def _run_intrinsic(config, bundle, seed) -> RecipeResult:
     intrinsic = np.asarray(bundle.extras.get("intrinsic_rewards",
                                              np.ones_like(mdp.rewards) * 0.1),
                            dtype=float).reshape(mdp.rewards.shape)
-    result, _ = _mdp_teacher(config, bundle, seed, "q_plus_intrinsic",
-                             intrinsic_rewards=intrinsic)
+    result, _, _ = _mdp_teacher(config, bundle, seed, "q_plus_intrinsic",
+                                intrinsic_rewards=intrinsic)
     result.extras["intrinsic"] = intrinsic
     return result
 
 
 def _run_rl_inference(config, bundle, seed, rho=None) -> RecipeResult:
     rho = bundle.rho if rho is None else rho
-    result, f_vals = _mdp_teacher(replace(config, alpha=rho, beta=rho), bundle,
-                                  seed, "q")
+    result, f_vals, _ = _mdp_teacher(replace(config, alpha=rho, beta=rho),
+                                     bundle, seed, "q")
     result.extras.update(rho=rho, f_vals=f_vals)
     return result
 

@@ -4,7 +4,7 @@ import pytest
 from sekit import mdp as mdp_module
 from sekit.core import Domain
 from sekit.mdp import (BELLMAN_TOL, BellmanResidual, NonPositiveQ, TabularMDP,
-                       exact_policy_gradient, f_reward, grad_q_logits,
+                       exact_policy_gradient, f_reward,
                        policy_value, q_function, visitation)
 from sekit.models import ConditionalSoftmaxModel
 from sekit.oracles import finite_difference_gradient, reinforce_gradient
@@ -71,12 +71,17 @@ class TestQFunction:
             q = mdp.rewards + mdp.gamma * (P2 @ (pi * q).sum(axis=1)).reshape(S, A)
         assert np.max(np.abs(q - table.q)) <= 1e-9
 
-    def test_bad_solve_raises_bellman_residual(self, small_mdp, rng, monkeypatch):
+    @pytest.mark.parametrize("broken", [lambda x: x + 1e-3,
+                                        lambda x: np.full_like(x, np.nan)],
+                             ids=["offset", "nan"])
+    def test_bad_solve_raises_bellman_residual(self, small_mdp, rng, monkeypatch,
+                                               broken):
         solve = mdp_module._solve
-        monkeypatch.setattr(mdp_module, "_solve", lambda M, b: solve(M, b) + 1e-3)
+        monkeypatch.setattr(mdp_module, "_solve",
+                            lambda lu, b, trans=0: broken(solve(lu, b, trans)))
         with pytest.raises(BellmanResidual) as info:
             q_function(small_mdp, random_policy(small_mdp, rng))
-        assert info.value.residual > BELLMAN_TOL
+        assert not info.value.residual <= BELLMAN_TOL
         assert isinstance(info.value, ValueError)
 
 
@@ -111,38 +116,25 @@ class TestPolicyGradient:
         assert np.max(np.abs(g - g_oracle)) <= 1e-8
 
 
-class TestGradQ:
-    def test_matches_finite_difference(self, small_mdp, rng):
-        policy = random_policy(small_mdp, rng)
-        tensor = grad_q_logits(small_mdp, policy)
-        S, A = 4, 2
-        for s, a in ((0, 0), (2, 1), (3, 0)):
-            fd = finite_difference_gradient(
-                lambda t: q_function(
-                    small_mdp, ConditionalSoftmaxModel(t, small_mdp.domain())
-                ).q[s, a],
-                policy.theta)
-            assert np.max(np.abs(tensor[s, a] - fd)) <= 1e-6
+class TestOneFactorisation:
+    @pytest.fixture
+    def factorisations(self, monkeypatch):
+        import scipy.linalg
+        calls = []
+        lu_factor = scipy.linalg.lu_factor
+        monkeypatch.setattr(scipy.linalg, "lu_factor",
+                            lambda M: calls.append(M.shape) or lu_factor(M))
+        return calls
 
-    def test_matches_dense_state_action_inverse(self):
-        g = np.random.default_rng(3)
-        S, A = 20, 3
-        mdp = TabularMDP(g.dirichlet(np.ones(S), size=(S, A)), g.random((S, A)),
-                         0.9, np.ones(S) / S)
-        policy = random_policy(mdp, g, scale=1.0)
-        pi = policy.probs()
-        q = q_function(mdp, policy).q
-        # dQ = gamma (I - gamma M)^-1 dM Q on the (S*A) x (S*A) operator
-        # M[(s,a),(s',a')] = P(s'|s,a) pi(a'|s')
-        M = np.einsum("ijk,kl->ijkl", mdp.transitions, pi).reshape(S * A, S * A)
-        Minv = np.linalg.inv(np.eye(S * A) - mdp.gamma * M)
-        dense = np.zeros((S, A, S, A))
-        for s_t in range(S):
-            for b in range(A):
-                dpi = pi[s_t] * (np.arange(A) == b) - pi[s_t] * pi[s_t, b]
-                rhs = mdp.transitions[:, :, s_t] * (dpi @ q[s_t])
-                dense[:, :, s_t, b] = (mdp.gamma * Minv @ rhs.ravel()).reshape(S, A)
-        assert np.max(np.abs(grad_q_logits(mdp, policy) - dense)) <= 1e-12
+    def test_policy_gradient_factorises_once(self, small_mdp, rng, factorisations):
+        exact_policy_gradient(small_mdp, random_policy(small_mdp, rng))
+        assert factorisations == [(4, 4)]
+
+    def test_intrinsic_reward_factorises_once(self, small_mdp, rng, factorisations):
+        f = f_reward(small_mdp, "q_plus_intrinsic",
+                     intrinsic_rewards=np.full((4, 2), 0.2))
+        f.values(random_policy(small_mdp, rng))
+        assert factorisations == [(4, 4)]
 
 
 class TestFReward:
@@ -186,6 +178,10 @@ class TestFReward:
         q_in = q_function(in_mdp, policy).q
         total = q_ex + q_in + f.diagnostics["reward_offset"] / (1 - small_mdp.gamma)
         assert np.max(np.abs(np.exp(v) - total.ravel())) <= 1e-8
+
+    def test_intrinsic_size_mismatch_raises(self, small_mdp):
+        with pytest.raises(ValueError):
+            f_reward(small_mdp, "q_plus_intrinsic", intrinsic_rewards=np.full(2, 0.2))
 
     def test_unknown_mode(self, small_mdp):
         with pytest.raises(ValueError):

@@ -154,6 +154,15 @@ class TestChecks:
         assert rep["passed"], rep
         assert rep["details"]["cosine"] >= 1 - 1e-8
 
+    def test_policy_gradient_run_solves_visitation_once(self, small_mdp, monkeypatch):
+        # Z and the state-action model share the teacher's visitation
+        from sekit import mdp
+        solve, transposed = mdp._solve, []
+        monkeypatch.setattr(mdp, "_solve", lambda lu, b, trans=0: (
+            transposed.append(trans) if trans else None) or solve(lu, b, trans))
+        run_recipe("policy-gradient", ProblemBundle(mdp=small_mdp), seed=5)
+        assert transposed == [1]
+
     def test_intrinsic(self, small_mdp):
         b = ProblemBundle(mdp=small_mdp)
         rep = check_equivalence("intrinsic-reward", "enumeration", b, 1e-10,

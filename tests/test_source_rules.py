@@ -1,7 +1,9 @@
 """Engine-wide source rules: no runtime `assert` (python -O strips it), no
 `while` loop (each loop is bounded, so it converges or raises a typed error),
 no `SEConfig` field that nothing reads, no import that nothing uses, no
-engine import in the oracles, and no `scipy.special` in the engine."""
+engine import in the oracles, no `scipy.special` in the engine, and one
+linear-solve path: `scipy.linalg` in `mdp.py` only and no `np.linalg.solve`
+or `np.linalg.inv` outside the oracles."""
 import ast
 import dataclasses
 from pathlib import Path
@@ -64,7 +66,7 @@ def test_oracles_import_nothing_from_sekit():
     assert bad == []
 
 
-def _scipy_special_imports(path):
+def _imports(path, prefix):
     for node in ast.walk(_parse(path)):
         if isinstance(node, ast.ImportFrom):
             names = [f"{node.module}.{a.name}" for a in node.names]
@@ -72,7 +74,7 @@ def _scipy_special_imports(path):
             names = [a.name for a in node.names]
         else:
             continue
-        if any(n.startswith("scipy.special") for n in names):
+        if any(n.startswith(prefix) for n in names):
             yield f"{path.name}:{node.lineno}"
 
 
@@ -82,7 +84,33 @@ def _scipy_special_imports(path):
 def test_engine_does_not_import_scipy_special(path):
     # the engine uses core.logsumexp; the oracles, and the check targets in
     # recipes, keep scipy's as an independent reference
-    assert list(_scipy_special_imports(path)) == []
+    assert list(_imports(path, "scipy.special")) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name not in ("mdp.py", "oracles.py")],
+                         ids=lambda p: p.name)
+def test_only_mdp_imports_scipy_linalg(path):
+    # mdp.py's one LU factorisation is the engine's only linear solver
+    assert list(_imports(path, "scipy.linalg")) == []
+
+
+def _dense_solves(path):
+    for node in ast.walk(_parse(path)):
+        if (isinstance(node, ast.Attribute) and node.attr in ("solve", "inv")
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"):
+            yield f"{path.name}:{node.lineno}: linalg.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            yield from (f"{path.name}:{node.lineno}: import {a.name}"
+                        for a in node.names if a.name in ("solve", "inv"))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "oracles.py"],
+                         ids=lambda p: p.name)
+def test_engine_has_no_dense_solve(path):
+    # a second solve path beside mdp's factorisation would drift from it
+    assert list(_dense_solves(path)) == []
 
 
 def _unused_imports(path):
