@@ -157,11 +157,15 @@ class TestChecks:
     def test_policy_gradient_run_solves_visitation_once(self, small_mdp, monkeypatch):
         # Z and the state-action model share the teacher's visitation
         from sekit import mdp
-        solve, transposed = mdp._solve, []
-        monkeypatch.setattr(mdp, "_solve", lambda lu, b, trans=0: (
-            transposed.append(trans) if trans else None) or solve(lu, b, trans))
+        solve, trans_args = mdp._solve, []
+
+        def counting_solve(lu, b, trans=0):
+            trans_args.append(trans)
+            return solve(lu, b, trans)
+
+        monkeypatch.setattr(mdp, "_solve", counting_solve)
         run_recipe("policy-gradient", ProblemBundle(mdp=small_mdp), seed=5)
-        assert transposed == [1]
+        assert trans_args.count(1) == 1
 
     def test_intrinsic(self, small_mdp):
         b = ProblemBundle(mdp=small_mdp)
