@@ -132,8 +132,7 @@ def _evaluate(mdp: TabularMDP, policy: ConditionalSoftmaxModel):
     The one factorisation of a policy evaluation: V solves it as-is, the
     visitation mu transposed.
     """
-    # imported here: at module top the import raises the peak memory of
-    # every run, MDP or not
+    # imported here: at module top it raises every run's peak memory, MDP or not
     from scipy.linalg import lu_factor
     pi = policy.probs()
     if pi.shape != (mdp.n_states, mdp.n_actions):
