@@ -1,6 +1,7 @@
-"""Discriminator-in-the-loop training: classifier and critic experience
-functions, the importance-reweighted discriminator update, and the adversarial
-alternating loop for the implicit-generation recipes (entropy weight zero).
+"""Discriminator-in-the-loop training: classifier and Lipschitz-critic
+experience functions, the importance-reweighted discriminator update, and the
+adversarial alternating loop for the implicit-generation recipes (entropy
+weight zero).
 
 Discriminators are tabular: one scalar parameter per domain element.
 """
@@ -17,7 +18,7 @@ from .divergence import DivergenceFn, divergence
 from .models import SoftmaxModel
 from .solver import ModeUnsupported, Trace
 
-MODES = ("classifier", "critic", "lipschitz_critic")
+MODES = ("classifier", "lipschitz_critic")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -39,8 +40,8 @@ class Discriminator:
     """Tabular discriminator phi over the domain.
 
     classifier: f(t) = log sigmoid(phi_t), the log-probability of "real".
-    critic / lipschitz_critic: f(t) = phi_t; the Lipschitz variant keeps
-    consecutive differences within clip * (coordinate gap).
+    lipschitz_critic: f(t) = phi_t, with consecutive differences kept within
+    clip * (coordinate gap).
     """
 
     phi: np.ndarray

@@ -11,7 +11,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -27,7 +26,7 @@ EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_MISMATCH = 3
 
-_RUN_KEYS = {"recipe", "params", "problem", "seed", "out", "overrides", "grid"}
+_RUN_KEYS = {"recipe", "params", "problem", "seed", "out", "grid"}
 
 
 class ConfigError(ValueError):
@@ -173,8 +172,7 @@ def cmd_check(args) -> int:
     try:
         recipe = get_recipe(args.recipe)
         oracle = args.oracle if args.oracle is not None else recipe.default_oracle
-        base = Path(args.problem).resolve().parent if args.problem else Path.cwd()
-        bundle = _load_problem({}, args.problem, base)
+        bundle = _load_problem({}, args.problem, Path.cwd())
         seed = args.seed if args.seed is not None else int(os.environ.get("SEKIT_SEED", 0))
     except (ConfigError, NotFound, BundleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -239,15 +237,8 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_root.mkdir(parents=True, exist_ok=True)
-    cells = list(_sweep_cells(grid))
-    jobs = max(1, args.jobs)
-    results = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_cell, i, a, cfg, seed, bundle, out_root)
-                   for i, a in enumerate(cells)]
-        for fut in futures:
-            results.append(fut.result())
-    results.sort(key=lambda r: r[0])
+    results = [_run_cell(i, a, cfg, seed, bundle, out_root)
+               for i, a in enumerate(_sweep_cells(grid))]
     keys = sorted(grid)
     lines = [",".join(["cell"] + keys + ["status", "final_total"])]
     any_failed = False
@@ -290,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--problem", default=None)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--override", action="append", type=_parse_override,
                          default=[], metavar="KEY=VALUE")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -13,7 +13,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 SUM_TOL = 1e-9
-POINTWISE_TOL = 1e-12
 
 
 class AllNegInfinity(ValueError):
@@ -28,7 +27,7 @@ class BoundaryPoint(ValueError):
 class Domain:
     """A finite configuration space, optionally with (X, Y) product structure.
 
-    Product indexing convention: t = x * n_y + y.
+    Product indexing convention: t = x * |Y| + y.
     """
 
     labels: Tuple[str, ...]
@@ -50,16 +49,6 @@ class Domain:
     def size(self) -> int:
         return len(self.labels)
 
-    @property
-    def n_x(self) -> int:
-        self._require_product()
-        return self.factor_sizes[0]
-
-    @property
-    def n_y(self) -> int:
-        self._require_product()
-        return self.factor_sizes[1]
-
     def _require_product(self):
         if self.factor_sizes is None:
             raise ValueError("domain has no product structure")
@@ -77,12 +66,6 @@ class Domain:
         if not (0 <= t < self.size):
             raise IndexError(f"index {t} out of range")
         return divmod(t, ny)
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown configuration {label!r}") from None
 
     @staticmethod
     def of_size(n: int, prefix: str = "t") -> "Domain":
@@ -183,9 +166,6 @@ class Dist:
         logp = np.full(n, -np.inf)
         logp[i] = 0.0
         return cls(logp)
-
-    def support(self) -> np.ndarray:
-        return self.p > 0
 
     def tv(self, other: "Dist") -> float:
         return 0.5 * float(np.abs(self.p - other.p).sum())

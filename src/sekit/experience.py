@@ -8,7 +8,7 @@ current model as an argument and never captures mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,9 +71,6 @@ class ExperienceFn:
             raise ValueError("experience values must be in [-inf, finite]")
         return v
 
-    def __call__(self, t: int, model=None) -> float:
-        return float(self.values(model)[t])
-
     @classmethod
     def from_vector(cls, domain: Domain, v, name: str = "") -> "ExperienceFn":
         v = np.asarray(v, dtype=float).copy()
@@ -112,15 +109,6 @@ class Dataset:
 
     def empirical(self) -> np.ndarray:
         return self.counts / self.n_data
-
-    @classmethod
-    def from_observations(cls, domain: Domain, observations: Sequence[Union[int, str]],
-                          weights=None) -> "Dataset":
-        counts = np.zeros(domain.size)
-        for obs in observations:
-            t = domain.index_of(obs) if isinstance(obs, str) else int(obs)
-            counts[t] += 1
-        return cls(domain, counts, weights)
 
 
 def f_data(dataset: Dataset) -> ExperienceFn:
@@ -368,12 +356,6 @@ def f_model_mimic(inputs: Dataset, source: ConditionalSoftmaxModel) -> Experienc
     log_emp = safe_log(inputs.empirical())
     v = (log_emp[:, None] + source.log_probs()).ravel()
     return ExperienceFn.from_vector(domain, v, name="model-mimic")
-
-
-def f_model_score(source: ConditionalSoftmaxModel) -> ExperienceFn:
-    """f(x, y) = log p_source(y|x): direct likelihood scoring by a fixed model."""
-    v = source.log_probs().ravel()
-    return ExperienceFn.from_vector(source.domain, v, name="model-score")
 
 
 def combine(terms: List[Tuple[float, ExperienceFn]]) -> ExperienceFn:

@@ -87,23 +87,6 @@ class TabularMDP:
         r = np.asarray(payload["rewards"], dtype=float).reshape(S, A)
         return cls(P, r, float(payload["gamma"]), np.asarray(payload["p0"], dtype=float))
 
-    def to_json(self) -> dict:
-        triples = [
-            [s, a, s2, float(self.transitions[s, a, s2])]
-            for s in range(self.n_states)
-            for a in range(self.n_actions)
-            for s2 in range(self.n_states)
-            if self.transitions[s, a, s2] > 0
-        ]
-        return {
-            "states": self.n_states,
-            "actions": self.n_actions,
-            "transitions": triples,
-            "rewards": self.rewards.tolist(),
-            "gamma": self.gamma,
-            "p0": self.p0.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class QTable:

@@ -14,15 +14,7 @@ import numpy as np
 from .core import Dist, Domain, logsumexp, safe_log
 
 
-class IndexOutOfRange(IndexError):
-    pass
-
-
 class ShapeMismatch(ValueError):
-    pass
-
-
-class ZeroMarginal(ValueError):
     pass
 
 
@@ -61,11 +53,6 @@ class SoftmaxModel:
     def dist(self) -> Dist:
         return Dist(self.log_probs())
 
-    def log_prob(self, t: int) -> float:
-        if not (0 <= t < self.domain.size):
-            raise IndexOutOfRange(f"index {t} out of range")
-        return float(self.log_probs()[t])
-
     def with_theta(self, theta: np.ndarray) -> "SoftmaxModel":
         return SoftmaxModel(theta, self.domain)
 
@@ -86,25 +73,12 @@ class ConditionalSoftmaxModel:
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
 
-    @classmethod
-    def zeros(cls, domain: Domain) -> "ConditionalSoftmaxModel":
-        return cls(np.zeros(domain.factor_sizes), domain)
-
     def log_probs(self) -> np.ndarray:
         """|X| x |Y| matrix of log p(y|x)."""
         return _log_softmax(self.theta, axis=1)
 
     def probs(self) -> np.ndarray:
         return np.exp(self.log_probs())
-
-    def log_prob(self, x: int, y: int) -> float:
-        nx, ny = self.domain.factor_sizes
-        if not (0 <= x < nx and 0 <= y < ny):
-            raise IndexOutOfRange(f"({x}, {y}) out of range")
-        return float(self.log_probs()[x, y])
-
-    def row_dist(self, x: int) -> Dist:
-        return Dist(self.log_probs()[x])
 
     def joint_log_probs(self, p_x: np.ndarray) -> np.ndarray:
         """log[p(y|x) p_x(x)] flattened with t = x * |Y| + y."""
@@ -142,15 +116,6 @@ class MixtureModel:
         object.__setattr__(self, "mixture_logits", mix)
         object.__setattr__(self, "component_logits", comp)
 
-    @property
-    def n_components(self) -> int:
-        return self.domain.factor_sizes[1]
-
-    @classmethod
-    def zeros(cls, domain: Domain) -> "MixtureModel":
-        nx, k = domain.factor_sizes
-        return cls(np.zeros(k), np.zeros((k, nx)), domain)
-
     def log_joint(self) -> np.ndarray:
         """|X| x K matrix of log p(x, y)."""
         log_pi = _log_softmax(self.mixture_logits)  # (K,)
@@ -164,12 +129,6 @@ class MixtureModel:
     def dist(self) -> Dist:
         return Dist(self.log_probs())
 
-    def log_prob(self, x: int, y: int) -> float:
-        nx, k = self.domain.factor_sizes
-        if not (0 <= x < nx and 0 <= y < k):
-            raise IndexOutOfRange(f"({x}, {y}) out of range")
-        return float(self.log_joint()[x, y])
-
     def log_marginal_x(self) -> np.ndarray:
         return logsumexp(self.log_joint(), axis=1)
 
@@ -178,14 +137,6 @@ class MixtureModel:
 
 
 Model = Union[SoftmaxModel, ConditionalSoftmaxModel, MixtureModel]
-
-
-def posterior(model: MixtureModel, x: int) -> Dist:
-    """q(y | x) by Bayes rule on the exact joint."""
-    log_joint_x = model.log_joint()[x]
-    if np.all(np.isneginf(log_joint_x)):
-        raise ZeroMarginal(f"p_theta(x={x}) = 0")
-    return Dist(log_joint_x - logsumexp(log_joint_x))
 
 
 def grad_expected_log_prob(model: Model, q: Dist):

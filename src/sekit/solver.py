@@ -43,7 +43,6 @@ class SEConfig:
     experience: Optional[ExperienceFn] = None
     student: str = "exact"  # exact (exact_fit) | gradient (fit_to)
     student_steps: int = 50
-    student_step_size: float = 1.0
     q_decomposition: str = "none"  # none | fixed_x_marginal
     max_iters: int = 10000
     objective_tol: float = 1e-10
@@ -151,8 +150,7 @@ def teacher_closed_form(p_theta: Dist, f_vals: np.ndarray, alpha: float,
 def student_step(q: Dist, model: Model, config: SEConfig) -> Model:
     if config.student == "exact":
         return exact_fit(model, q)
-    return fit_to(model, q, steps=config.student_steps,
-                  step_size=config.student_step_size)
+    return fit_to(model, q, steps=config.student_steps)
 
 
 # ---------------------------------------------------------------------------

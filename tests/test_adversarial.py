@@ -21,7 +21,7 @@ class TestDiscriminator:
         with pytest.raises(ValueError):
             Discriminator(np.zeros(3), "oracle")
         with pytest.raises(ValueError):
-            Discriminator(np.zeros(3), "critic", clip=0.0)
+            Discriminator(np.zeros(3), "lipschitz_critic", clip=0.0)
         with pytest.raises(ValueError):
             Discriminator(np.array([0.0, np.inf]))
 
@@ -33,7 +33,7 @@ class TestDiscriminator:
     def test_sigma_guard(self):
         assert ModeUnsupported is solver.ModeUnsupported
         with pytest.raises(ModeUnsupported):
-            Discriminator(np.zeros(3), "critic").sigma()
+            Discriminator(np.zeros(3), "lipschitz_critic").sigma()
 
     def test_lipschitz_projection_idempotent(self, rng):
         phi = rng.normal(size=8) * 10
@@ -65,16 +65,15 @@ class TestGradients:
         n = 6
         p_d, q = mk(rng, n), mk(rng, n)
         phi = rng.normal(size=n)
-        for mode in ("classifier", "critic"):
-            d = Discriminator(phi, mode)
-            g = discriminator_gradient(d, p_d, q, "separation")
-            fd = finite_difference_gradient(
-                lambda ph: discriminator_objective(
-                    Discriminator(ph, mode), p_d, q, "separation"), phi)
-            assert np.max(np.abs(g - fd)) <= 1e-7
+        d = Discriminator(phi, "classifier")
+        g = discriminator_gradient(d, p_d, q, "separation")
+        fd = finite_difference_gradient(
+            lambda ph: discriminator_objective(
+                Discriminator(ph, "classifier"), p_d, q, "separation"), phi)
+        assert np.max(np.abs(g - fd)) <= 1e-7
 
     def test_classification_objective_guard(self):
-        d = Discriminator(np.zeros(3), "critic")
+        d = Discriminator(np.zeros(3), "lipschitz_critic")
         with pytest.raises(ModeUnsupported):
             discriminator_objective(d, Dist.uniform(3), Dist.uniform(3),
                                     "classification")

@@ -35,13 +35,13 @@ class TestRun:
         emp = np.array([3, 0, 5, 1, 7, 2]) / 18.0
         assert np.max(np.abs(np.array(model["distribution"]) - emp)) <= 1e-6
 
-    def test_unknown_key_names_it(self, workspace, capsys):
-        cfg = {"recipe": "supervised-mle", "problem": "toy.json",
-               "mystery_knob": 3}
+    @pytest.mark.parametrize("key", ["mystery_knob", "overrides"])
+    def test_unknown_key_names_it(self, workspace, capsys, key):
+        cfg = {"recipe": "supervised-mle", "problem": "toy.json", key: 3}
         (workspace / "bad.json").write_text(json.dumps(cfg))
         code = main(["run", "--config", str(workspace / "bad.json")])
         assert code == 1
-        assert "mystery_knob" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_unknown_recipe(self, workspace, capsys):
         cfg = {"recipe": "alchemy", "problem": "toy.json"}
@@ -132,6 +132,16 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
 
+    def test_relative_problem_resolves_against_cwd(self, workspace,
+                                                   monkeypatch):
+        (workspace / "bundles").mkdir()
+        (workspace / "toy.json").rename(workspace / "bundles" / "toy.json")
+        monkeypatch.chdir(workspace)
+        code = main(["check", "--recipe", "supervised-mle",
+                     "--problem", os.path.join("bundles", "toy.json"),
+                     "--tol", "1e-6"])
+        assert code == 0
+
     def test_fail_exit_three(self, workspace, capsys):
         code = main(["check", "--recipe", "supervised-mle",
                      "--problem", str(workspace / "toy.json"),
@@ -176,8 +186,7 @@ class TestSweep:
                               {"params.iters_per_stage": [4, 6],
                                "seed": [0, 1]})
         out = tmp_path / "sweep_out"
-        code = main(["sweep", "--config", str(cfg), "--out", str(out),
-                     "--jobs", "2"])
+        code = main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         summary = (out / "summary.csv").read_text().strip().splitlines()
         assert len(summary) == 5  # header + 4 cells
@@ -185,6 +194,12 @@ class TestSweep:
         assert len(subdirs) == 4
         for sub in subdirs:
             assert (sub / "trace.csv").exists()
+
+    def test_jobs_flag_exit_one(self, tmp_path):
+        # cells run in order; the removed --jobs flag is a usage error
+        cfg = self.make_sweep(tmp_path, {"seed": [0]})
+        assert main(["sweep", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--jobs", "4"]) == 1
 
     def test_empty_grid_exit_one(self, tmp_path):
         cfg = self.make_sweep(tmp_path, {})

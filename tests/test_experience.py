@@ -13,7 +13,7 @@ from sekit.experience import (AllZeroWeights, Atom, AtomOutOfRange, Avg, Const,
                               Implies, Not, Or, SplitOutOfRange, StrongAnd,
                               combine, eval_soft_logic, f_active, f_data,
                               f_data_augmented, f_data_self, f_data_weighted,
-                              f_model_mimic, f_model_score, f_rule,
+                              f_model_mimic, f_rule,
                               parse_rule, raml_kernel, selection_distribution)
 from sekit.models import ConditionalSoftmaxModel
 
@@ -28,11 +28,6 @@ class TestDataset:
     def test_non_integer_counts_rejected(self):
         with pytest.raises(ValueError):
             Dataset(Domain.of_size(2), np.array([1.5, 1.0]))
-
-    def test_from_observations(self):
-        dom = Domain(("a", "b", "c"))
-        ds = Dataset.from_observations(dom, ["a", "c", "a", 1])
-        assert list(ds.counts) == [2, 1, 1]
 
 
 class TestDataExperience:
@@ -175,12 +170,6 @@ class TestModelExperience:
         v = np.exp(f.values())
         target = (inputs.empirical()[:, None] * src.probs()).ravel()
         assert np.max(np.abs(v - target)) <= 1e-12
-
-    def test_score(self, rng):
-        prod = Domain.product(("a", "b"), ("u", "v"))
-        src = ConditionalSoftmaxModel(rng.normal(size=(2, 2)), prod)
-        assert np.allclose(f_model_score(src).values(),
-                           src.log_probs().ravel())
 
     def test_mimic_domain_mismatch(self, rng):
         prod = Domain.product(("a", "b"), ("u", "v"))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,20 @@ class TestTabularMDP:
         with pytest.raises(ValueError):
             TabularMDP(bad_p, small_mdp.rewards, 0.9, small_mdp.p0)
 
-    def test_json_roundtrip(self, small_mdp):
-        again = TabularMDP.from_json(small_mdp.to_json())
-        assert np.max(np.abs(again.transitions - small_mdp.transitions)) <= 1e-15
-        assert np.max(np.abs(again.rewards - small_mdp.rewards)) <= 1e-15
-        assert again.gamma == small_mdp.gamma
+    def test_from_json(self):
+        # P as [s, a, s', p] triples; a repeated triple adds its mass
+        payload = {"states": 2, "actions": 2, "gamma": 0.5, "p0": [1.0, 0.0],
+                   "rewards": [[1.0, 0.0], [0.0, 2.0]],
+                   "transitions": [[0, 0, 1, 1.0], [0, 1, 0, 0.25],
+                                   [0, 1, 1, 0.75], [1, 0, 1, 0.5],
+                                   [1, 0, 1, 0.5], [1, 1, 0, 1.0]]}
+        for given in (payload, json.dumps(payload)):
+            mdp = TabularMDP.from_json(given)
+            assert mdp.transitions.tolist() == [[[0.0, 1.0], [0.25, 0.75]],
+                                                [[0.0, 1.0], [1.0, 0.0]]]
+            assert mdp.rewards.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+            assert mdp.gamma == 0.5
+            assert mdp.p0.tolist() == [1.0, 0.0]
 
     def test_domain(self, small_mdp):
         dom = small_mdp.domain()
@@ -149,7 +160,7 @@ class TestFReward:
         P = g.dirichlet(np.ones(3), size=(3, 2))
         rewards = g.random((3, 2)) - 2.0  # strictly negative Q territory
         mdp = TabularMDP(P, rewards, 0.9, np.ones(3) / 3)
-        policy = ConditionalSoftmaxModel.zeros(mdp.domain())
+        policy = ConditionalSoftmaxModel(np.zeros((3, 2)), mdp.domain())
         f = f_reward(mdp, "log_q")
         v = f.values(policy)
         assert np.all(np.isfinite(v))
@@ -162,7 +173,7 @@ class TestFReward:
         g = np.random.default_rng(1)
         P = g.dirichlet(np.ones(3), size=(3, 2))
         mdp = TabularMDP(P, g.random((3, 2)) - 5.0, 0.9, np.ones(3) / 3)
-        policy = ConditionalSoftmaxModel.zeros(mdp.domain())
+        policy = ConditionalSoftmaxModel(np.zeros((3, 2)), mdp.domain())
         f = f_reward(mdp, "log_q", offset=1e-9)
         with pytest.raises(NonPositiveQ):
             f.values(policy)

@@ -1,9 +1,10 @@
 """Engine-wide source rules: no runtime `assert` (python -O strips it), no
 `while` loop (each loop is bounded, so it converges or raises a typed error),
 no `SEConfig` field that nothing reads, no import that nothing uses, no
-engine import in the oracles, no `scipy.special` in the engine, and one
-linear-solve path: `scipy.linalg` in `mdp.py` only and no `np.linalg.solve`
-or `np.linalg.inv` outside the oracles."""
+engine definition that only tests reach, no engine import in the oracles, no
+`scipy.special` in the engine, and one linear-solve path: `scipy.linalg` in
+`mdp.py` only and no `np.linalg.solve` or `np.linalg.inv` outside the
+oracles."""
 import ast
 import dataclasses
 from pathlib import Path
@@ -132,3 +133,60 @@ def _unused_imports(path):
 def test_no_unused_import(path):
     # __init__.py imports to re-export; every other import must be used
     assert _unused_imports(path) == []
+
+
+# Engine definitions that only tests name, each kept for the check it serves.
+_TEST_ONLY = {
+    "divergence_grad_q": "analytic q-gradients the divergence tests check",
+    "entropy_grad": "the analytic entropy gradient the acceptance test checks",
+    "policy_value": "J, which the policy-gradient test differentiates",
+    "bellman_residual": "the MDP tests' check of the policy-evaluation solve",
+}
+
+
+def _definitions(tree):
+    # module-level functions, classes and constants, and methods
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield node.name, node
+            yield from ((sub.name, sub) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
+def _mentions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node
+        elif isinstance(node, ast.ImportFrom):  # __init__ re-exports count
+            yield from ((alias.name, node) for alias in node.names)
+
+
+def test_every_engine_definition_has_a_caller():
+    # code that only tests reach is deleted; names match by spelling, so a
+    # method shares its mentions with every same-named attribute
+    repo = Path(__file__).resolve().parent.parent
+    callers = (MODULES + sorted((repo / "perfbench").glob("*.py"))
+               + sorted((repo / "scripts").glob("*.py")))
+    trees = {path: _parse(path) for path in callers}
+    named = {}
+    for path, tree in trees.items():
+        for name, node in _mentions(tree):
+            named.setdefault(name, []).append((path, node))
+    unreached = []
+    for path in MODULES:
+        if path.name == "oracles.py":
+            continue
+        for name, node in _definitions(trees[path]):
+            if name.startswith("__") or name in _TEST_ONLY:
+                continue  # dunders are reached by the language itself
+            own = {id(n) for n in ast.walk(node)}
+            if all(p == path and id(n) in own for p, n in named.get(name, [])):
+                unreached.append(f"{path.name}:{node.lineno}: {name}")
+    assert unreached == []
