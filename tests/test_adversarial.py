@@ -72,6 +72,21 @@ class TestGradients:
                 Discriminator(ph, "classifier"), p_d, q, "separation"), phi)
         assert np.max(np.abs(g - fd)) <= 1e-7
 
+    def test_lipschitz_separation_gradient_fd(self, rng):
+        # consecutive differences within 0.5 < clip: the projection is the
+        # identity near phi, so f = phi and the gradient is p_data - q
+        n = 6
+        p_d, q = mk(rng, n), mk(rng, n)
+        phi = np.cumsum(rng.uniform(-0.5, 0.5, size=n))
+        d = Discriminator(phi, "lipschitz_critic", clip=1.0)
+        g = discriminator_gradient(d, p_d, q, "separation")
+        fd = finite_difference_gradient(
+            lambda ph: discriminator_objective(
+                Discriminator(ph, "lipschitz_critic", clip=1.0), p_d, q,
+                "separation"), phi)
+        assert np.max(np.abs(g - fd)) <= 1e-7
+        assert np.max(np.abs(g - (p_d.p - q.p))) <= 1e-15
+
     def test_classification_objective_guard(self):
         d = Discriminator(np.zeros(3), "lipschitz_critic")
         with pytest.raises(ModeUnsupported):
