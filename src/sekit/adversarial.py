@@ -8,17 +8,21 @@ Discriminators are tabular: one scalar parameter per domain element.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .core import Dist, logsumexp, normalize_log
-from .divergence import DivergenceFn, divergence
+from .divergence import DivergenceFn, NonConvergence, divergence
 from .models import SoftmaxModel
 from .solver import ModeUnsupported, Trace
 
 MODES = ("classifier", "lipschitz_critic")
+# the vanilla-GAN classifier polish (_newton_classifier)
+POLISH_MAX_ITERS = 60
+POLISH_STEP_TOL = 1e-12
+POLISH_STEP_CLIP = 4.0
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -31,8 +35,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))),
-                    x - np.log1p(np.exp(-np.abs(x))))
+    t = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x >= 0, -t, x - t)
+
+
+def _log_sigmoid_pair(x: np.ndarray):
+    """log sigmoid(x) and log sigmoid(-x), both from one log1p(exp(-|x|))."""
+    t = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x >= 0, -t, x - t), np.where(x <= 0, -t, -x - t)
 
 
 @dataclass(frozen=True)
@@ -42,38 +52,51 @@ class Discriminator:
     classifier: f(t) = log sigmoid(phi_t), the log-probability of "real".
     lipschitz_critic: f(t) = phi_t, with consecutive differences kept within
     clip * (coordinate gap).
+
+    The coordinate gaps are built once, when a discriminator is made from
+    scratch; `with_phi` hands them on to a phi of the same size.
     """
 
     phi: np.ndarray
     mode: str = "classifier"
     clip: float = 1.0
     coords: Optional[np.ndarray] = None
+    _gaps: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float).copy()
         if phi.ndim != 1:
             raise ValueError("phi must be a vector")
-        if not np.all(np.isfinite(phi)):
+        if not np.isfinite(phi).all():
             raise ValueError("phi must be finite")
         if self.mode not in MODES:
             raise ValueError(f"unknown discriminator mode {self.mode!r}")
         if self.clip <= 0:
             raise ValueError("clip must be positive")
+        gaps = self._gaps
+        if gaps is None or gaps.shape[0] != phi.size - 1:
+            gaps = self._build_gaps(phi.size)
         if self.mode == "lipschitz_critic":
-            phi = _project_lipschitz(phi, self.clip, self._gaps(phi.size))
+            phi = _project_lipschitz(phi, self.clip, gaps)
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
-        if self.coords is not None:
+
+    def _build_gaps(self, n: int) -> np.ndarray:
+        """Validate and freeze coords; return the frozen gap vector."""
+        if self.coords is None:
+            gaps = np.ones(n - 1)
+        else:
             c = np.asarray(self.coords, dtype=float).copy()
-            if c.shape != phi.shape or np.any(np.diff(c) <= 0):
-                raise ValueError("coords must be strictly increasing and match phi")
+            if c.shape != (n,):
+                raise ValueError("coords must match phi")
+            gaps = c[1:] - c[:-1]
+            if (gaps <= 0).any():
+                raise ValueError("coords must be strictly increasing")
             c.flags.writeable = False
             object.__setattr__(self, "coords", c)
-
-    def _gaps(self, n: int) -> np.ndarray:
-        if self.coords is None:
-            return np.ones(n - 1)
-        return np.diff(np.asarray(self.coords, dtype=float))
+        gaps.flags.writeable = False
+        object.__setattr__(self, "_gaps", gaps)
+        return gaps
 
     def f_values(self) -> np.ndarray:
         """The experience vector f_phi this discriminator induces."""
@@ -88,15 +111,16 @@ class Discriminator:
         return _sigmoid(self.phi)
 
     def with_phi(self, phi: np.ndarray) -> "Discriminator":
-        return Discriminator(phi, self.mode, self.clip, self.coords)
+        return Discriminator(phi, self.mode, self.clip, self.coords, self._gaps)
 
 
 def _project_lipschitz(phi: np.ndarray, clip: float, gaps: np.ndarray) -> np.ndarray:
     """Clamp consecutive differences to [-clip * gap, clip * gap]; idempotent."""
-    diffs = np.clip(np.diff(phi), -clip * gaps, clip * gaps)
+    bound = clip * gaps
+    diffs = np.minimum(np.maximum(phi[1:] - phi[:-1], -bound), bound)
     out = np.empty_like(phi)
     out[0] = phi[0]
-    out[1:] = phi[0] + np.cumsum(diffs)
+    out[1:] = phi[0] + np.add.accumulate(diffs)
     return out
 
 
@@ -111,7 +135,8 @@ def discriminator_objective(disc: Discriminator, p_data: Dist, q: Dist,
         raise ValueError(f"unknown objective {objective!r}")
     if disc.mode != "classifier":
         raise ModeUnsupported("classification objective needs classifier mode")
-    return p_data.expect(_log_sigmoid(disc.phi)) + q.expect(_log_sigmoid(-disc.phi))
+    log_real, log_fake = _log_sigmoid_pair(disc.phi)
+    return p_data.expect(log_real) + q.expect(log_fake)
 
 
 def discriminator_gradient(disc: Discriminator, p_data: Dist, q: Dist,
@@ -164,16 +189,47 @@ def _lipschitz_box_ascent(disc: Discriminator, p_data: Dist,
     coordinate's maximizer is the box corner opposing sign(F_j), reached by
     an exact line search (coordinates with F_j = 0 are left untouched).
     """
-    d = p_data.p - q.p
-    f_cdf = np.cumsum(d)[:-1]
-    gaps = disc._gaps(disc.phi.size)
-    bounds = disc.clip * gaps
-    delta = np.diff(disc.phi)
+    f_cdf = np.add.accumulate(p_data.p - q.p)[:-1]
+    bounds = disc.clip * disc._gaps
+    delta = disc.phi[1:] - disc.phi[:-1]
     delta = np.where(f_cdf > 0, -bounds, np.where(f_cdf < 0, bounds, delta))
     phi = np.empty_like(disc.phi)
     phi[0] = disc.phi[0]
-    phi[1:] = phi[0] + np.cumsum(delta)
+    phi[1:] = phi[0] + np.add.accumulate(delta)
     return disc.with_phi(phi)
+
+
+def _newton_classifier(disc: Discriminator, p_data: Dist,
+                       q: Dist) -> Discriminator:
+    """Maximise the classification objective by per-coordinate Newton ascent.
+
+    E_pd[log sigma(phi)] + E_q[log(1 - sigma(phi))] is separable in phi:
+    coordinate t has gradient p_d(1 - sigma) - q sigma and curvature
+    -(p_d + q) sigma (1 - sigma), so each coordinate takes its own Newton
+    step, clipped to +-POLISH_STEP_CLIP.  Where the curvature underflows to
+    zero the step is the clip in the gradient's sign; where p_d + q = 0 both
+    vanish and phi stays.  Stops once the largest step is at most
+    POLISH_STEP_TOL, and raises NonConvergence if that has not happened after
+    POLISH_MAX_ITERS steps, as on a point where exactly one of p_d and q is
+    zero: its optimal phi is infinite.
+    """
+    mass = p_data.p + q.p
+    phi = disc.phi.copy()
+    for _ in range(POLISH_MAX_ITERS):
+        s, r = _sigmoid(phi), _sigmoid(-phi)  # r = 1 - sigma, without cancellation
+        grad = p_data.p * r - q.p * s
+        curv = mass * s * r
+        step = np.divide(grad, curv, out=np.sign(grad) * POLISH_STEP_CLIP,
+                         where=curv > 0)
+        step = np.minimum(np.maximum(step, -POLISH_STEP_CLIP), POLISH_STEP_CLIP)
+        phi += step
+        residual = float(np.abs(step).max())
+        if residual <= POLISH_STEP_TOL:
+            return disc.with_phi(phi)
+    raise NonConvergence(
+        f"classifier polish step {residual:.3e} > {POLISH_STEP_TOL:.1e} "
+        f"after {POLISH_MAX_ITERS} iterations", iterations=POLISH_MAX_ITERS,
+        residual=residual)
 
 
 def reweighted_discriminator_gradient(disc: Discriminator, p_data: Dist,
@@ -234,7 +290,11 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
       "ppo_gan": classifier discriminator trained in reweighted form; the
         model step is the exact student fit to the tilt q = p_theta e^f / Z.
 
-    The trace records the divergence to p_data (JS, or W1 for "wgan").
+    After the loop the discriminator is fitted to the final model: the
+    vanilla-GAN classifier by per-coordinate Newton ascent (`_newton_classifier`,
+    which raises NonConvergence at its iteration cap), the W-GAN critic by its
+    exact box ascent.  The trace records the divergence to p_data (JS, or W1
+    for "wgan").
     """
     if recipe not in ("vanilla_gan", "wgan", "ppo_gan"):
         raise ValueError(f"unknown adversarial recipe {recipe!r}")
@@ -247,7 +307,8 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
         div = DivergenceFn("js")
     trace = Trace()
     converged = False
-    p_theta = model.dist()  # rebuilt once per model update
+    p_theta = model.dist()  # rebuilt once per model update; its logp is
+    # model.log_probs(), so the model steps reuse it
     for it in range(1, iters + 1):
         t0 = time.perf_counter()
         if recipe == "ppo_gan":
@@ -260,7 +321,7 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
                                         objective="classification")
             psi_hat = 0.5 * _log_sigmoid(-disc.phi)  # 0.5 log(1 - sigma)
             psi_hat = psi_hat - psi_hat.mean()
-            model = model.with_theta(model.log_probs() - model_step_size * psi_hat)
+            model = model.with_theta(p_theta.logp - model_step_size * psi_hat)
         else:  # wgan
             disc = discriminator_update(disc, p_data, p_theta, steps=disc_steps,
                                         step_size=disc_step_size,
@@ -268,7 +329,7 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
             phi = disc.phi - disc.phi.mean()
             # 1/sqrt(t) decay: the critic is a subgradient of W1, so the
             # mirror-descent step must shrink for the cycle to close
-            model = model.with_theta(model.log_probs()
+            model = model.with_theta(p_theta.logp
                                      + model_step_size / np.sqrt(it) * phi)
         p_theta = model.dist()
         gap = divergence(div, p_theta, p_data)
@@ -280,10 +341,9 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
             converged = True
             break
     if recipe == "vanilla_gan":
-        # polish the classifier against the final model so sigma reflects the
-        # optimum p_d / (p_d + q) at the returned pair
-        disc = discriminator_update(disc, p_data, p_theta, steps=400,
-                                    step_size=4.0, objective="classification")
+        # solve for the classifier against the final model, so that sigma is
+        # the optimum p_d / (p_d + q) at the returned pair
+        disc = _newton_classifier(disc, p_data, p_theta)
     elif recipe == "wgan":
         # polish the critic against the final model so its objective reflects
         # the actual W1 gap of the returned pair

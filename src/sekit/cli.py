@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .bundles import BundleError, load_bundle
+from .divergence import NonConvergence
 from .models import ConditionalSoftmaxModel, MixtureModel, SoftmaxModel
 from .recipes import (IncompatiblePair, NotFound, check_equivalence,
                       get_recipe, run_recipe)
@@ -86,15 +87,18 @@ def _resolve_seed(cfg: dict, flag_seed: Optional[int]) -> int:
     return 0
 
 
-def _load_problem(cfg: dict, flag_problem: Optional[str], base: Path):
+def _load_problem(cfg: dict, flag_problem: Optional[str],
+                  config_dir: Optional[Path] = None):
+    """The --problem flag, a path relative to the working directory, or else
+    the config's "problem" key: a bundle, or a path relative to config_dir."""
     spec = flag_problem if flag_problem is not None else cfg.get("problem")
     if spec is None:
         raise ConfigError("no problem bundle given (config 'problem' or --problem)")
     if isinstance(spec, dict):
         return load_bundle(spec)
     path = Path(spec)
-    if not path.is_absolute():
-        path = base / path
+    if flag_problem is None and not path.is_absolute():
+        path = config_dir / path
     try:
         with open(path) as fh:
             return load_bundle(json.load(fh))
@@ -166,13 +170,16 @@ def cmd_run(args) -> int:
     except (ConfigError, NotFound, BundleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NonConvergence as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
 
 
 def cmd_check(args) -> int:
     try:
         recipe = get_recipe(args.recipe)
         oracle = args.oracle if args.oracle is not None else recipe.default_oracle
-        bundle = _load_problem({}, args.problem, Path.cwd())
+        bundle = _load_problem({}, args.problem)
         seed = args.seed if args.seed is not None else int(os.environ.get("SEKIT_SEED", 0))
     except (ConfigError, NotFound, BundleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -183,6 +190,9 @@ def cmd_check(args) -> int:
     except (IncompatiblePair, BundleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NonConvergence as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
     print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
     return EXIT_OK if report["passed"] else EXIT_MISMATCH
 

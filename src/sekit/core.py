@@ -127,10 +127,10 @@ class Dist:
         logp = np.asarray(logp, dtype=float)
         if logp.ndim != 1:
             raise ValueError("logp must be a vector")
-        if np.any(np.isnan(logp)) or np.any(logp == np.inf):
+        if np.isnan(logp).any() or (logp == np.inf).any():
             raise ValueError("logp entries must be in [-inf, finite]")
         p = np.exp(logp) if _p is None else np.asarray(_p, dtype=float)
-        if np.any(p < 0):
+        if (p < 0).any():
             raise ValueError("negative probability")
         total = p.sum()
         if abs(total - 1.0) > SUM_TOL:
@@ -174,7 +174,7 @@ class Dist:
         """E[values] with the 0 * (-inf) = 0 convention on zero-mass points."""
         values = np.asarray(values, dtype=float)
         mask = self.p > 0
-        if np.any(np.isneginf(values[mask])):
+        if (values[mask] == -np.inf).any():
             return -np.inf
         return float(self.p[mask] @ values[mask])
 

@@ -83,8 +83,8 @@ def js(q: Dist, p: Dist) -> float:
 
 
 def w1(q: Dist, p: Dist, coords: np.ndarray) -> float:
-    gaps = np.diff(coords)
-    cdf_diff = np.cumsum(q.p - p.p)[:-1]
+    gaps = coords[1:] - coords[:-1]
+    cdf_diff = np.add.accumulate(q.p - p.p)[:-1]
     return float(np.abs(cdf_diff) @ gaps)
 
 

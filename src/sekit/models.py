@@ -37,7 +37,7 @@ class SoftmaxModel:
         theta = np.asarray(self.theta, dtype=float)
         if theta.shape != (self.domain.size,):
             raise ShapeMismatch("theta must be a length-N vector")
-        if not np.all(np.isfinite(theta) | np.isneginf(theta)):
+        if not (np.isfinite(theta) | (theta == -np.inf)).all():
             raise ValueError("theta entries must be finite or -inf")
         theta = theta.copy()
         theta.flags.writeable = False

@@ -1,15 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from sekit import solver
-from sekit.adversarial import (Discriminator, ModeUnsupported, _sigmoid,
+from sekit import adversarial, solver
+from sekit.adversarial import (Discriminator, ModeUnsupported,
+                               _lipschitz_box_ascent, _log_sigmoid,
+                               _log_sigmoid_pair, _project_lipschitz, _sigmoid,
                                adversarial_run, discriminator_gradient,
                                discriminator_objective, discriminator_update,
                                reweighted_discriminator_gradient, tilted_q)
+from sekit.bundles import load_bundle
 from sekit.core import Dist, Domain
-from sekit.divergence import w1
+from sekit.divergence import NonConvergence, w1
 from sekit.models import SoftmaxModel
 from sekit.oracles import finite_difference_gradient, gan_optimum
+from sekit.recipes import check_equivalence
 
 
 def mk(rng, n):
@@ -146,3 +152,119 @@ class TestAdversarialRun:
         model = SoftmaxModel.zeros(Domain.of_size(10))
         with pytest.raises(ValueError):
             adversarial_run("quantum_gan", gan_target, model)
+
+
+class TestClassifierPolish:
+    def test_small_masses_reach_the_optimum(self):
+        # Dirichlet(1) targets put masses near 1e-4 on some points; the final
+        # model can nearly drop such a point, which puts the optimal phi far out
+        targets = np.random.default_rng(0).dirichlet(np.ones(10), size=20)
+        for p in targets:
+            rep = check_equivalence("vanilla-gan", "gan-optimum",
+                                    load_bundle({"p_data": p.tolist()}), 1e-3,
+                                    seed=1)
+            assert rep["passed"], p
+            assert rep["details"]["final_tv"] <= 1e-3
+            assert rep["details"]["sigma_max_abs"] <= 1e-4
+
+    def test_iteration_cap_raises_with_residual(self, gan_target, monkeypatch):
+        monkeypatch.setattr(adversarial, "POLISH_MAX_ITERS", 1)
+        model = SoftmaxModel(np.zeros(10), Domain.of_size(10))
+        with pytest.raises(NonConvergence) as info:
+            adversarial_run("vanilla_gan", gan_target, model)
+        assert info.value.iterations == 1
+        assert info.value.residual > adversarial.POLISH_STEP_TOL
+        assert np.isfinite(info.value.residual)
+
+    def test_zero_mass_point_raises(self):
+        # p_data(t) = 0 < q(t): the optimal classifier has phi_t = -inf
+        p = np.full(10, 0.1)
+        p[2], p[3] = 0.0, 0.2
+        model = SoftmaxModel(np.zeros(10), Domain.of_size(10))
+        with pytest.raises(NonConvergence):
+            adversarial_run("vanilla_gan", Dist.from_probs(p), model)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestHelpersBitForBit:
+    """The rewritten helpers against the formulas they replaced."""
+
+    EDGES = np.array([0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 745.0, -745.0,
+                      1e308, -1e308])
+
+    @staticmethod
+    def _old_log_sigmoid(x):
+        return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))),
+                        x - np.log1p(np.exp(-np.abs(x))))
+
+    @staticmethod
+    def _old_project(phi, clip, gaps):
+        diffs = np.clip(np.diff(phi), -clip * gaps, clip * gaps)
+        out = np.empty_like(phi)
+        out[0] = phi[0]
+        out[1:] = phi[0] + np.cumsum(diffs)
+        return out
+
+    def test_log_sigmoid_and_pair(self, rng):
+        x = np.concatenate([self.EDGES, rng.normal(size=200) * 30.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = _log_sigmoid(x)
+            real, fake = _log_sigmoid_pair(x)
+            old_real, old_fake = self._old_log_sigmoid(x), self._old_log_sigmoid(-x)
+        assert np.array_equal(_bits(one), _bits(old_real))
+        assert np.array_equal(_bits(real), _bits(old_real))
+        assert np.array_equal(_bits(fake), _bits(old_fake))
+
+    def test_project_lipschitz(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for clip in (0.3, 1.0, 2.5):
+                phi = rng.normal(size=12) * 3.0
+                gaps = rng.uniform(0.1, 2.0, size=11)
+                assert np.array_equal(_bits(_project_lipschitz(phi, clip, gaps)),
+                                      _bits(self._old_project(phi, clip, gaps)))
+
+    @pytest.mark.parametrize("with_coords", [False, True])
+    def test_lipschitz_box_ascent(self, rng, with_coords):
+        n = 11
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(10):
+                coords = (np.cumsum(rng.uniform(0.1, 2.0, size=n))
+                          if with_coords else None)
+                gaps = np.diff(coords) if with_coords else np.ones(n - 1)
+                p_d, q = mk(rng, n), mk(rng, n)
+                disc = Discriminator(rng.normal(size=n), "lipschitz_critic",
+                                     0.7, coords)
+                f_cdf = np.cumsum(p_d.p - q.p)[:-1]
+                delta = np.diff(disc.phi)
+                delta = np.where(f_cdf > 0, -0.7 * gaps,
+                                 np.where(f_cdf < 0, 0.7 * gaps, delta))
+                ref = np.empty(n)
+                ref[0] = disc.phi[0]
+                ref[1:] = ref[0] + np.cumsum(delta)
+                ref = self._old_project(ref, 0.7, gaps)
+                got = _lipschitz_box_ascent(disc, p_d, q).phi
+                assert np.array_equal(_bits(got), _bits(ref))
+
+    def test_w1(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (2, 10, 1000):
+                q, p = mk(rng, n), mk(rng, n)
+                coords = np.cumsum(rng.uniform(0.1, 2.0, size=n))
+                ref = float(np.abs(np.cumsum(q.p - p.p)[:-1]) @ np.diff(coords))
+                assert _bits(w1(q, p, coords)) == _bits(ref)
+
+    def test_gaps_are_handed_on(self, rng):
+        coords = np.cumsum(rng.uniform(0.1, 2.0, size=6))
+        disc = Discriminator(np.zeros(6), "lipschitz_critic", 1.0, coords)
+        assert disc.with_phi(rng.normal(size=6))._gaps is disc._gaps
+        with pytest.raises(ValueError, match="coords must match phi"):
+            disc.with_phi(np.zeros(5))
+        classifier = Discriminator(np.zeros(6))
+        assert classifier.with_phi(np.zeros(4))._gaps.shape == (3,)

@@ -112,6 +112,31 @@ class TestRun:
         assert trace["converged"] is False
         assert code == 2
 
+    def test_relative_problem_flag_resolves_against_cwd(self, workspace,
+                                                        monkeypatch):
+        # the config's own "problem" key stays relative to the config file
+        (workspace / "configs").mkdir()
+        (workspace / "bundles").mkdir()
+        (workspace / "toy.json").rename(workspace / "bundles" / "toy.json")
+        (workspace / "run.json").rename(workspace / "configs" / "run.json")
+        monkeypatch.chdir(workspace)
+        code = main(["run", "--config", os.path.join("configs", "run.json"),
+                     "--problem", os.path.join("bundles", "toy.json"),
+                     "--out", "out"])
+        assert code == 0
+        assert (workspace / "out" / "trace.csv").exists()
+
+    def test_gan_with_no_finite_classifier_exits_two(self, tmp_path, capsys):
+        # a zero-mass target point: the optimal classifier there is infinite
+        p = [0.1] * 10
+        p[2], p[3] = 0.0, 0.2
+        cfg = {"recipe": "vanilla-gan", "problem": {"p_data": p}, "seed": 0}
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "classifier polish" in capsys.readouterr().err
+
     def test_unknown_param_exits_one(self, workspace, capsys):
         cfg = {"recipe": "supervised-mle", "problem": "toy.json",
                "params": {"iters": 3}}
@@ -194,6 +219,18 @@ class TestSweep:
         assert len(subdirs) == 4
         for sub in subdirs:
             assert (sub / "trace.csv").exists()
+
+    def test_relative_problem_flag_resolves_against_cwd(self, tmp_path,
+                                                        monkeypatch):
+        cfg = self.make_sweep(tmp_path, {"seed": [0, 1]})
+        (tmp_path / "configs").mkdir()
+        cfg.rename(tmp_path / "configs" / "sweep.json")
+        monkeypatch.chdir(tmp_path)
+        code = main(["sweep", "--config", os.path.join("configs", "sweep.json"),
+                     "--problem", "prob.json", "--out", "o"])
+        assert code == 0
+        assert len((tmp_path / "o" / "summary.csv").read_text()
+                   .strip().splitlines()) == 3
 
     def test_jobs_flag_exit_one(self, tmp_path):
         # cells run in order; the removed --jobs flag is a usage error
