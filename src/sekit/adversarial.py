@@ -53,8 +53,8 @@ class Discriminator:
     lipschitz_critic: f(t) = phi_t, with consecutive differences kept within
     clip * (coordinate gap).
 
-    The coordinate gaps are built once, when a discriminator is made from
-    scratch; `with_phi` hands them on to a phi of the same size.
+    The coordinate gaps are built once, when a discriminator is first made;
+    `with_phi` hands them on to a phi of the same size.
     """
 
     phi: np.ndarray
@@ -307,8 +307,9 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
         div = DivergenceFn("js")
     trace = Trace()
     converged = False
-    p_theta = model.dist()  # rebuilt once per model update; its logp is
-    # model.log_probs(), so the model steps reuse it
+    # rebuilt once per model update; the model steps reuse its logp, which
+    # is model.log_probs()
+    p_theta = model.dist()
     for it in range(1, iters + 1):
         t0 = time.perf_counter()
         if recipe == "ppo_gan":
