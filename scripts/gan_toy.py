@@ -32,7 +32,7 @@ def main():
         model = SoftmaxModel(rng.normal(size=n) * 0.5, Domain.of_size(n))
         res = adversarial_run(recipe, p_data, model, iters=args.iters)
         tv = res.model.dist().tv(p_data)
-        print(f"{recipe:>12}: TV = {tv:.3e}  converged = {res.converged}")
+        print(f"{recipe:>12}: TV = {tv:.3e}  converged = {res.trace.converged}")
 
 
 if __name__ == "__main__":

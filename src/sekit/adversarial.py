@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Dist, logsumexp, normalize_log
-from .divergence import DivergenceFn, NonConvergence, divergence
+from .divergence import DivergenceFn, NonConvergence, divergence, pfd_step
 from .models import SoftmaxModel
 from .solver import ModeUnsupported, Trace
 
@@ -233,29 +233,27 @@ def _newton_classifier(disc: Discriminator, p_data: Dist,
 
 
 def reweighted_discriminator_gradient(disc: Discriminator, p_data: Dist,
-                                      model: SoftmaxModel) -> np.ndarray:
+                                      p_theta: Dist) -> np.ndarray:
     """Gradient of -(1/Z) E_{p_theta}[e^{f_phi} f_phi] + E_pd[f_phi] in phi,
     with the importance weights e^{f_phi} / Z held fixed at the current phi.
 
     With the weights frozen this equals the plain separation gradient against
     the explicit tilt q = p_theta e^{f_phi} / Z.
     """
-    f = disc.f_values()
-    logp = model.log_probs()
-    logq = logp + f
+    logq = p_theta.logp + disc.f_values()
     q = normalize_log(logq - logsumexp(logq))
     return discriminator_gradient(disc, p_data, q, "separation")
 
 
 def reweighted_discriminator_update(disc: Discriminator, p_data: Dist,
-                                    model: SoftmaxModel, steps: int = 1,
+                                    p_theta: Dist, steps: int = 1,
                                     step_size: float = 1.0) -> Discriminator:
     """Discriminator ascent where the fake side is the self-normalized
     reweighting of model samples by e^{f_phi}, refreshed each step."""
     phi = disc.phi.copy()
     for _ in range(steps):
         cur = disc.with_phi(phi)
-        grad = reweighted_discriminator_gradient(cur, p_data, model)
+        grad = reweighted_discriminator_gradient(cur, p_data, p_theta)
         cand = disc.with_phi(phi + step_size * grad)
         phi = cand.phi.copy()
     return disc.with_phi(phi)
@@ -271,7 +269,6 @@ class AdversarialResult:
     model: SoftmaxModel
     discriminator: Discriminator
     trace: Trace
-    converged: bool
 
 
 def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
@@ -281,14 +278,24 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
                     tol: float = 1e-3) -> AdversarialResult:
     """Alternating discriminator / model updates for the zero-entropy recipes.
 
-    recipe:
-      "vanilla_gan": classifier discriminator (binary classification
-        objective); model takes an exponentiated-gradient step along the
-        estimated JS influence 0.5 log(1 - sigma(phi)) (descent direction).
-      "wgan": Lipschitz critic (separation objective); model EG step along
-        +phi (ascending the critic's fake-side expectation lowers W1).
-      "ppo_gan": classifier discriminator trained in reweighted form; the
-        model step is the exact student fit to the tilt q = p_theta e^f / Z.
+    Each iteration fits the discriminator to the current p_theta, then moves
+    p_theta by one probability-functional-descent step (`pfd_step`),
+    p_theta <- p_theta exp(-eta psi) / Z, along the recipe's estimate psi of
+    the divergence's influence function:
+
+      recipe          discriminator             psi                 eta
+      "vanilla_gan"   classifier, fitted to     0.5 log(1 - sigma), model_step_size
+                      the classification        centred
+                      objective
+      "wgan"          Lipschitz critic, fitted  mean(phi) - phi     model_step_size
+                      to the separation                             / sqrt(t)
+      "ppo_gan"       classifier, reweighted    -f_phi              1
+                      ascent
+
+    The W1 critic is a subgradient, so its step shrinks as 1/sqrt(t) for the
+    cycle to close; the PPO-GAN step at eta = 1 is the exact student fit to
+    the tilt q = p_theta e^f / Z.  The returned model is built once, from the
+    final p_theta.
 
     After the loop the discriminator is fitted to the final model: the
     vanilla-GAN classifier by per-coordinate Newton ascent (`_newton_classifier`,
@@ -300,47 +307,41 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
         raise ValueError(f"unknown adversarial recipe {recipe!r}")
     n = p_data.size
     if recipe == "wgan":
+        coords = np.arange(n, dtype=float) if coords is None else coords
         disc = Discriminator(np.zeros(n), "lipschitz_critic", clip, coords)
         div = DivergenceFn("w1", coords)
     else:
         disc = Discriminator(np.zeros(n), "classifier")
         div = DivergenceFn("js")
     trace = Trace()
-    converged = False
-    # rebuilt once per model update; the model steps reuse its logp, which
-    # is model.log_probs()
     p_theta = model.dist()
     for it in range(1, iters + 1):
         t0 = time.perf_counter()
         if recipe == "ppo_gan":
             disc = reweighted_discriminator_update(
-                disc, p_data, model, steps=disc_steps, step_size=disc_step_size)
-            model = SoftmaxModel(tilted_q(model, disc).logp.copy(), model.domain)
+                disc, p_data, p_theta, steps=disc_steps, step_size=disc_step_size)
+            psi, eta = -disc.f_values(), 1.0
         elif recipe == "vanilla_gan":
             disc = discriminator_update(disc, p_data, p_theta, steps=disc_steps,
                                         step_size=disc_step_size,
                                         objective="classification")
-            psi_hat = 0.5 * _log_sigmoid(-disc.phi)  # 0.5 log(1 - sigma)
-            psi_hat = psi_hat - psi_hat.mean()
-            model = model.with_theta(p_theta.logp - model_step_size * psi_hat)
+            psi = 0.5 * _log_sigmoid(-disc.phi)  # 0.5 log(1 - sigma)
+            psi, eta = psi - psi.mean(), model_step_size
         else:  # wgan
             disc = discriminator_update(disc, p_data, p_theta, steps=disc_steps,
                                         step_size=disc_step_size,
                                         objective="separation")
-            phi = disc.phi - disc.phi.mean()
-            # 1/sqrt(t) decay: the critic is a subgradient of W1, so the
-            # mirror-descent step must shrink for the cycle to close
-            model = model.with_theta(p_theta.logp
-                                     + model_step_size / np.sqrt(it) * phi)
-        p_theta = model.dist()
+            psi, eta = disc.phi.mean() - disc.phi, model_step_size / np.sqrt(it)
+        p_theta = pfd_step(p_theta, psi, eta)
         gap = divergence(div, p_theta, p_data)
         tv = p_theta.tv(p_data)
         ms = (time.perf_counter() - t0) * 1000.0
         trace.add(iteration=it, neg_alpha_h=0.0, beta_d=gap, neg_e_q_f=0.0,
                   total=gap, tv_to_ref=tv, ms=ms)
         if tv <= tol:
-            converged = True
             break
+    else:
+        trace.converged = False
     if recipe == "vanilla_gan":
         # solve for the classifier against the final model, so that sigma is
         # the optimum p_d / (p_d + q) at the returned pair
@@ -350,5 +351,4 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
         # the actual W1 gap of the returned pair
         disc = discriminator_update(disc, p_data, p_theta,
                                     objective="separation")
-    trace.converged = converged
-    return AdversarialResult(model, disc, trace, converged)
+    return AdversarialResult(model.with_theta(p_theta.logp), disc, trace)

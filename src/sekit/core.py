@@ -185,11 +185,14 @@ class Dist:
 def normalize_log(scores) -> Dist:
     """Normalize extended-real scores into a Dist via max-shifted log-sum-exp."""
     scores = np.asarray(scores, dtype=float)
-    if np.all(np.isneginf(scores)):
+    # one reduction guards all three cases: nan propagates through it, and
+    # an empty or all -inf vector leaves the initial -inf
+    top = np.maximum.reduce(scores, axis=None, initial=-np.inf)
+    if top == -np.inf:
         raise AllNegInfinity("all scores are -inf")
-    if np.any(np.isnan(scores)) or np.any(scores == np.inf):
+    if not top < np.inf:
         raise ValueError("scores must be in [-inf, finite]")
-    shifted = scores - np.max(scores)  # explicit shift: exact at any magnitude
+    shifted = scores - top  # explicit shift: exact at any magnitude
     return Dist(shifted - logsumexp(shifted))
 
 

@@ -214,8 +214,11 @@ def influence_function(kind: str, p_d: Dist, q: Dist,
         psi=phi - phi.mean(), iterations=max_iters, residual=res)
 
 
-def pfd_step(q: Dist, psi: InfluenceFn, step: float) -> Dist:
-    """One exponentiated-gradient descent step q' ~ q exp(-step psi)."""
+def pfd_step(q: Dist, psi: np.ndarray, step: float) -> Dist:
+    """One probability-functional-descent step q' = q exp(-step psi) / Z
+    (Chu, Blanchet & Glynn, ICML 2019): mirror descent on a functional of q
+    along psi, its influence function or an estimate of it, such as
+    `InfluenceFn.psi` or a discriminator's."""
     if step <= 0:
         raise ValueError("step must be positive")
-    return normalize_log(q.logp - step * psi.psi)
+    return normalize_log(q.logp - step * psi)

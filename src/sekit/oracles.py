@@ -74,13 +74,6 @@ def hedge(initial: np.ndarray, reward_rows: np.ndarray, alpha: float
     return p, history
 
 
-def hedge_regret_bound(T: int, K: int, alpha: float, reward_range: float = 1.0
-                       ) -> float:
-    """Standard Hedge guarantee for rewards in [0, reward_range] at learning
-    rate 1/alpha: regret <= alpha ln K + T reward_range^2 / (8 alpha)."""
-    return alpha * np.log(K) + T * reward_range ** 2 / (8.0 * alpha)
-
-
 def external_regret(initial: np.ndarray, reward_rows: np.ndarray,
                     history: List[np.ndarray]) -> float:
     """max_t sum_rounds f(t) - sum_rounds E_{p_round}[f], with p_round the
@@ -129,23 +122,6 @@ def reinforce_gradient(transitions: np.ndarray, rewards: np.ndarray,
         occ = T.T @ occ
         discount *= gamma
     return grad
-
-
-def soft_value_iteration(transitions: np.ndarray, rewards: np.ndarray,
-                         gamma: float, rho: float,
-                         iters: int = 100000, tol: float = 1e-15) -> np.ndarray:
-    """Soft (maximum-entropy) Q-iteration at temperature rho:
-    Q(s,a) = r(s,a) + gamma E_{s'}[rho logsumexp(Q(s',.) / rho)]."""
-    from scipy.special import logsumexp as lse
-    S, A = rewards.shape
-    q = np.zeros((S, A))
-    for _ in range(iters):
-        v = rho * lse(q / rho, axis=1)
-        new_q = rewards + gamma * transitions @ v
-        if np.max(np.abs(new_q - q)) < tol:
-            return new_q
-        q = new_q
-    return q
 
 
 def gan_optimum(p_data: np.ndarray, q: np.ndarray) -> np.ndarray:

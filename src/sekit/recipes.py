@@ -281,7 +281,7 @@ def _run_gan(recipe, config, bundle, seed, iters=5000, disc_steps=5,
                           coords=bundle.coords, tol=tol)
     return RecipeResult(res.model, res.trace, res.model.dist(),
                         extras={"discriminator": res.discriminator,
-                                "converged": res.converged})
+                                "converged": res.trace.converged})
 
 
 def _run_mw(config, bundle, seed, alpha=None) -> RecipeResult:
@@ -548,7 +548,7 @@ def _check_ppo_gan(bundle, tol, seed, instances=100):
         model = SoftmaxModel(rng.normal(size=n), Domain.of_size(n))
         disc = Discriminator(rng.normal(size=n), "classifier")
         p_d = Dist.from_probs(rng.dirichlet(np.ones(n)))
-        g1 = reweighted_discriminator_gradient(disc, p_d, model)
+        g1 = reweighted_discriminator_gradient(disc, p_d, model.dist())
         g2 = discriminator_gradient(disc, p_d, tilted_q(model, disc), "separation")
         worst = max(worst, float(np.max(np.abs(g1 - g2))))
     return worst, {"instances": instances}

@@ -132,7 +132,7 @@ def test_07_reweighted_discriminator_identity():
         model = SoftmaxModel(rng.normal(size=n), Domain.of_size(n))
         disc = Discriminator(rng.normal(size=n), "classifier")
         p_d = Dist.from_probs(rng.dirichlet(np.ones(n)))
-        g1 = reweighted_discriminator_gradient(disc, p_d, model)
+        g1 = reweighted_discriminator_gradient(disc, p_d, model.dist())
         g2 = discriminator_gradient(disc, p_d, tilted_q(model, disc),
                                     "separation")
         worst = max(worst, float(np.max(np.abs(g1 - g2))))
@@ -202,7 +202,7 @@ def test_11_influence_functions_and_pfd():
     steps_used = 500
     for step in range(500):
         psi = influence_function("kl", p_d, cur, tol=1e-8)
-        cur = pfd_step(cur, psi, 1.0)
+        cur = pfd_step(cur, psi.psi, 1.0)
         if cur.tv(p_d) <= 1e-6:
             steps_used = step + 1
             break

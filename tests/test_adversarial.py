@@ -9,7 +9,8 @@ from sekit.adversarial import (Discriminator, ModeUnsupported,
                                _log_sigmoid_pair, _project_lipschitz, _sigmoid,
                                adversarial_run, discriminator_gradient,
                                discriminator_objective, discriminator_update,
-                               reweighted_discriminator_gradient, tilted_q)
+                               reweighted_discriminator_gradient,
+                               reweighted_discriminator_update, tilted_q)
 from sekit.bundles import load_bundle
 from sekit.core import Dist, Domain
 from sekit.divergence import NonConvergence, w1
@@ -117,7 +118,7 @@ class TestReweightedIdentity:
             model = SoftmaxModel(rng.normal(size=n), Domain.of_size(n))
             disc = Discriminator(rng.normal(size=n), "classifier")
             p_d = mk(rng, n)
-            g1 = reweighted_discriminator_gradient(disc, p_d, model)
+            g1 = reweighted_discriminator_gradient(disc, p_d, model.dist())
             g2 = discriminator_gradient(disc, p_d, tilted_q(model, disc),
                                         "separation")
             assert np.max(np.abs(g1 - g2)) <= 1e-10
@@ -138,7 +139,7 @@ class TestAdversarialRun:
     def test_vanilla_gan_converges(self, gan_target, rng):
         model = SoftmaxModel(rng.normal(size=10) * 0.5, Domain.of_size(10))
         res = adversarial_run("vanilla_gan", gan_target, model, iters=5000)
-        assert res.converged
+        assert res.trace.converged
         assert res.model.dist().tv(gan_target) <= 1e-3
         target = gan_optimum(gan_target.p, res.model.dist().p)
         assert np.max(np.abs(res.discriminator.sigma() - target)) <= 1e-4
@@ -147,6 +148,21 @@ class TestAdversarialRun:
         model = SoftmaxModel(rng.normal(size=10) * 0.5, Domain.of_size(10))
         res = adversarial_run("ppo_gan", gan_target, model, iters=3000)
         assert res.model.dist().tv(gan_target) <= 1e-3
+
+    def test_ppo_step_is_the_reweighted_fit_and_its_tilt(self, gan_target, rng):
+        # what _check_ppo_gan checks, pinned to one step of the run: the
+        # reweighted discriminator update, then the model jumps to the tilt
+        n = 10
+        for _ in range(20):
+            model0 = SoftmaxModel(rng.normal(size=n), Domain.of_size(n))
+            res = adversarial_run("ppo_gan", gan_target, model0, iters=1)
+            disc1 = reweighted_discriminator_update(
+                Discriminator(np.zeros(n), "classifier"), gan_target,
+                model0.dist(), 5, 4.0)
+            assert np.array_equal(_bits(res.discriminator.phi), _bits(disc1.phi))
+            # theta, not dist(): dist() renormalises, which can move an ulp
+            assert np.array_equal(_bits(res.model.theta),
+                                  _bits(tilted_q(model0, disc1).logp))
 
     def test_unknown_recipe(self, gan_target):
         model = SoftmaxModel.zeros(Domain.of_size(10))

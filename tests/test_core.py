@@ -92,12 +92,15 @@ class TestDist:
 
 class TestNormalizeLog:
     def test_all_neg_inf(self):
-        with pytest.raises(AllNegInfinity):
-            normalize_log(np.array([-np.inf, -np.inf]))
+        # an empty vector has no finite score either
+        for scores in ([-np.inf, -np.inf], []):
+            with pytest.raises(AllNegInfinity):
+                normalize_log(np.array(scores))
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_log(np.array([0.0, np.nan]))
+        for scores in ([0.0, np.nan], [0.0, np.inf], [np.nan, np.inf]):
+            with pytest.raises(ValueError):
+                normalize_log(np.array(scores))
 
     def test_huge_scores_no_overflow(self):
         d = normalize_log(np.array([1e308, 1e308 - 1.0]))

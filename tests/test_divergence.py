@@ -167,7 +167,7 @@ class TestInfluence:
         prev = kl(cur, p_d)
         for _ in range(10):
             psi = influence_function("kl", p_d, cur, tol=1e-8)
-            cur = pfd_step(cur, psi, 1.0)
+            cur = pfd_step(cur, psi.psi, 1.0)
             val = kl(cur, p_d)
             assert val <= prev + 1e-10
             prev = val
@@ -177,4 +177,4 @@ class TestInfluence:
         q = mk(rng.random(4) + 0.1)
         psi = influence_function("ce", q, q)
         with pytest.raises(ValueError):
-            pfd_step(q, psi, 0.0)
+            pfd_step(q, psi.psi, 0.0)
