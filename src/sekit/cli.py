@@ -65,6 +65,13 @@ def _load_run_config(path: str, overrides) -> dict:
         raise ConfigError("config must be a JSON object")
     for key, value in overrides or []:
         _set_dotted(cfg, key, value)
+    _validate_run_config(cfg)
+    return cfg
+
+
+def _validate_run_config(cfg: dict) -> None:
+    """Raise ConfigError (or NotFound for an unknown recipe) unless `cfg`
+    is a runnable config: known keys, a registered recipe, object params."""
     unknown = sorted(set(cfg) - _RUN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -73,7 +80,6 @@ def _load_run_config(path: str, overrides) -> dict:
     get_recipe(cfg["recipe"])  # raises NotFound early
     if "params" in cfg and not isinstance(cfg["params"], dict):
         raise ConfigError("'params' must be an object")
-    return cfg
 
 
 def _resolve_seed(cfg: dict, flag_seed: Optional[int]) -> int:
@@ -180,7 +186,7 @@ def cmd_check(args) -> int:
         recipe = get_recipe(args.recipe)
         oracle = args.oracle if args.oracle is not None else recipe.default_oracle
         bundle = _load_problem({}, args.problem)
-        seed = args.seed if args.seed is not None else int(os.environ.get("SEKIT_SEED", 0))
+        seed = _resolve_seed({}, args.seed)
     except (ConfigError, NotFound, BundleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -216,10 +222,7 @@ def _run_cell(index, assignment, cfg, seed, bundle, out_root):
         _set_dotted(cell_cfg, dotted, value)
     out_dir = out_root / _cell_name(index, assignment)
     try:
-        unknown = sorted(set(cell_cfg) - _RUN_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        get_recipe(cell_cfg["recipe"])
+        _validate_run_config(cell_cfg)
         code = _execute_run(cell_cfg, seed, bundle, out_dir)
         status = "ok" if code == EXIT_OK else "nonconverged"
     except Exception as exc:  # record, do not abort the sweep

@@ -2,7 +2,8 @@
 
 Three families: a flat softmax over a domain, a row-wise conditional softmax
 (policy), and a latent-variable mixture.  All are value types; updates return
-new models.
+new models.  The softmax and the mixture have an exact student (`exact_fit`);
+the softmax and the conditional model have a gradient student (`fit_to`).
 """
 from __future__ import annotations
 
@@ -139,11 +140,12 @@ class MixtureModel:
 Model = Union[SoftmaxModel, ConditionalSoftmaxModel, MixtureModel]
 
 
-def grad_expected_log_prob(model: Model, q: Dist):
+def grad_expected_log_prob(model: Model, q: Dist) -> np.ndarray:
     """Gradient of E_q[log p_theta] with respect to the model logits.
 
     For the conditional model the joint convention p(y|x) p0(x) is used, so
     only the conditional part contributes; q lives on the product domain.
+    The mixture has no gradient here: its student is `exact_fit`.
     """
     if isinstance(model, SoftmaxModel):
         if q.size != model.domain.size:
@@ -156,41 +158,20 @@ def grad_expected_log_prob(model: Model, q: Dist):
         q_xy = q.p.reshape(nx, ny)
         q_x = q_xy.sum(axis=1)
         return q_xy - q_x[:, None] * model.probs()
-    if isinstance(model, MixtureModel):
-        nx, k = model.domain.factor_sizes
-        if q.size != nx * k:
-            raise ShapeMismatch("q does not match the product domain")
-        q_xy = q.p.reshape(nx, k)
-        q_y = q_xy.sum(axis=0)  # (K,)
-        pi = np.exp(_log_softmax(model.mixture_logits))
-        comp = np.exp(_log_softmax(model.component_logits, axis=1))  # (K, |X|)
-        grad_mix = q_y - pi
-        grad_comp = q_xy.T - q_y[:, None] * comp
-        return grad_mix, grad_comp
     raise TypeError(f"unsupported model type {type(model)!r}")
 
 
 def expected_log_prob(model: Model, q: Dist) -> float:
-    if isinstance(model, (SoftmaxModel, MixtureModel)):
-        return q.expect(model.log_probs())
-    if isinstance(model, ConditionalSoftmaxModel):
-        return q.expect(model.log_probs().ravel())
-    raise TypeError(f"unsupported model type {type(model)!r}")
+    return q.expect(model.log_probs().ravel())
 
 
 def exact_fit(model: Model, q: Dist) -> Model:
-    """Install the exact maximizer of E_q[log p_theta] (all families here are
-    fully expressive for their respective factorization)."""
+    """Install the exact maximizer of E_q[log p_theta]: q itself for the flat
+    softmax, and the closed-form mixture weights and components for the
+    mixture.  The conditional model has no exact student here; it takes
+    `fit_to`'s gradient steps."""
     if isinstance(model, SoftmaxModel):
         return model.with_theta(q.logp.copy())
-    if isinstance(model, ConditionalSoftmaxModel):
-        nx, ny = model.domain.factor_sizes
-        q_xy = q.p.reshape(nx, ny)
-        q_x = q_xy.sum(axis=1)
-        theta = model.theta.copy()
-        live = q_x > 0  # an x without mass keeps its old logits
-        theta[live] = safe_log(q_xy[live] / q_x[live, None])
-        return model.with_theta(theta)
     if isinstance(model, MixtureModel):
         nx, k = model.domain.factor_sizes
         q_xy = q.p.reshape(nx, k)
@@ -204,25 +185,23 @@ def exact_fit(model: Model, q: Dist) -> Model:
 
 
 def fit_to(model: Model, q: Dist, steps: int = 100, step_size: float = 1.0) -> Model:
-    """Fit p_theta to q by maximizing E_q[log p_theta].
+    """Fit p_theta to q by gradient ascent on E_q[log p_theta], with
+    backtracking so the objective is non-decreasing per step.
 
-    SoftmaxModel attains q exactly; structured models run gradient ascent
-    with backtracking so the objective is non-decreasing per step.
+    Any family with a `grad_expected_log_prob` (softmax, conditional) can be
+    fitted; a mixture raises TypeError.
     """
     if steps < 0 or step_size <= 0:
         raise ValueError("steps >= 0 and step_size > 0 required")
-    if isinstance(model, SoftmaxModel):
-        return exact_fit(model, q)
     current = model
     obj = expected_log_prob(current, q)
     for _ in range(steps):
         grad = grad_expected_log_prob(current, q)
-        flat = np.concatenate([g.ravel() for g in grad]) if isinstance(grad, tuple) else grad.ravel()
-        if not np.all(np.isfinite(flat)):
+        if not np.all(np.isfinite(grad)):
             raise NonFiniteGradient("gradient has non-finite entries")
         eta = step_size
         for _halving in range(30):
-            candidate = _apply_step(current, grad, eta)
+            candidate = current.with_theta(current.theta + eta * grad)
             new_obj = expected_log_prob(candidate, q)
             if new_obj >= obj:
                 break
@@ -231,15 +210,3 @@ def fit_to(model: Model, q: Dist, steps: int = 100, step_size: float = 1.0) -> M
             return current  # no ascent direction at this scale
         current, obj = candidate, new_obj
     return current
-
-
-def _apply_step(model: Model, grad, eta: float) -> Model:
-    if isinstance(model, ConditionalSoftmaxModel):
-        return model.with_theta(model.theta + eta * grad)
-    if isinstance(model, MixtureModel):
-        grad_mix, grad_comp = grad
-        return model.with_logits(
-            model.mixture_logits + eta * grad_mix,
-            model.component_logits + eta * grad_comp,
-        )
-    raise TypeError(f"unsupported model type {type(model)!r}")

@@ -197,8 +197,7 @@ def _run_posterior_reg(config, bundle, seed, iters=10) -> RecipeResult:
     from .experience import eval_soft_logic
     rule_vals = eval_soft_logic(bundle.rule, bundle.atoms, prod.size)
     fn = ExperienceFn.from_vector(prod, bundle.rule_weight * rule_vals, name="rule")
-    config = replace(config, experience=fn, max_iters=iters, objective_tol=0.0,
-                     student="gradient", student_steps=40)
+    config = replace(config, experience=fn, max_iters=iters, objective_tol=0.0)
     rng = np.random.default_rng(seed)
     model = ConditionalSoftmaxModel(rng.normal(size=(nx, ny)) * 0.1, prod)
     history = []
@@ -279,7 +278,7 @@ def _run_gan(recipe, config, bundle, seed, iters=5000, disc_steps=5,
                           disc_steps=disc_steps, disc_step_size=disc_step_size,
                           model_step_size=model_step_size, clip=clip,
                           coords=bundle.coords, tol=tol)
-    return RecipeResult(res.model, res.trace, res.model.dist(),
+    return RecipeResult(res.model, res.trace, Dist(res.model.theta),
                         extras={"discriminator": res.discriminator,
                                 "converged": res.trace.converged})
 

@@ -3,8 +3,9 @@
     min_{q, theta}  -alpha H(q) + beta CE(q, p_theta) - E_q[f]
 
 with the closed-form teacher (and its per-x form for a fixed x marginal), the
-exact and gradient students, the multiplicative-weights online loop, and the
-dynamic schedule that interpolates between configurations.
+student that the model family fixes (the exact fit of a softmax or mixture,
+gradient steps on a conditional model), the multiplicative-weights online
+loop, and the dynamic schedule that interpolates between configurations.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .models import (ConditionalSoftmaxModel, MixtureModel, Model, exact_fit,
                      fit_to)
 
 DEFAULT_EPSILON = 1e-8  # the "very small positive" beta of the MLE recipes
+STUDENT_STEPS = 40  # gradient steps per student step on a conditional model
 
 
 class ModeUnsupported(ValueError):
@@ -35,14 +37,13 @@ class PlanGap(ValueError):
 @dataclass(frozen=True)
 class SEConfig:
     """A point in the algorithm space: the trade-off weights, the experience,
-    and the student's fitting mode.  The divergence is cross-entropy and the
-    uncertainty is Shannon entropy, which the closed-form teacher needs."""
+    the teacher's decomposition and the stopping rule.  The divergence is
+    cross-entropy and the uncertainty is Shannon entropy, which the
+    closed-form teacher needs; the student follows the model (`student_step`)."""
 
     alpha: float = 1.0
     beta: float = 1.0
     experience: Optional[ExperienceFn] = None
-    student: str = "exact"  # exact (exact_fit) | gradient (fit_to)
-    student_steps: int = 50
     q_decomposition: str = "none"  # none | fixed_x_marginal
     max_iters: int = 10000
     objective_tol: float = 1e-10
@@ -50,8 +51,6 @@ class SEConfig:
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if self.student not in ("exact", "gradient"):
-            raise ValueError(f"unknown student mode {self.student!r}")
         if self.q_decomposition not in ("none", "fixed_x_marginal"):
             raise ValueError(f"unknown q_decomposition {self.q_decomposition!r}")
 
@@ -147,10 +146,12 @@ def teacher_closed_form(p_theta: Dist, f_vals: np.ndarray, alpha: float,
 # Student steps
 # ---------------------------------------------------------------------------
 
-def student_step(q: Dist, model: Model, config: SEConfig) -> Model:
-    if config.student == "exact":
-        return exact_fit(model, q)
-    return fit_to(model, q, steps=config.student_steps)
+def student_step(q: Dist, model: Model) -> Model:
+    """Fit the model to the teacher's q: STUDENT_STEPS gradient steps for a
+    conditional model, the exact fit for the softmax and the mixture."""
+    if isinstance(model, ConditionalSoftmaxModel):
+        return fit_to(model, q, steps=STUDENT_STEPS)
+    return exact_fit(model, q)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,7 @@ def _step(config: SEConfig, model: Model, domain: Domain,
               if config.beta != 0 else 0.0)
     neg_f = -q.expect(f_vals)
     total = neg_h + d_term + neg_f
-    model = student_step(q, model, config)
+    model = student_step(q, model)
     tv = None
     if reference is not None:
         tv = model_dist(model, p_x).tv(reference)
@@ -306,7 +307,7 @@ def schedule(base: SEConfig, plan: Sequence[Segment], model: Model,
              domain: Domain, p_x: Optional[np.ndarray] = None,
              reference: Optional[Dist] = None) -> Tuple[Model, Trace]:
     """Run the dynamic outer loop: at each tau the active segment's config
-    (experience, weights, student, ...) drives one teacher-student step."""
+    (experience, weights, ...) drives one teacher-student step."""
     plan = list(plan)
     if not plan:
         raise PlanGap("empty plan")

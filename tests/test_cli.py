@@ -256,6 +256,14 @@ class TestSweep:
         assert "failed" in summary
         assert "ok" in summary
 
+    def test_non_object_params_cell_fails(self, tmp_path):
+        # each cell passes the same validation as a `run` config
+        cfg = self.make_sweep(tmp_path, {"params": [3]})
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        row = (out / "summary.csv").read_text().strip().splitlines()[1]
+        assert row.split(",")[2] == "failed: 'params' must be an object"
+
 
 class TestUsage:
     def test_missing_subcommand_exit_one(self):

@@ -63,25 +63,12 @@ class TestConditionalSoftmaxModel:
             lambda t: expected_log_prob(ConditionalSoftmaxModel(t, dom), q), theta)
         assert np.max(np.abs(g - fd)) <= 1e-7
 
-    def test_exact_fit_matches_conditional(self, rng):
+    def test_has_no_exact_fit(self, rng):
+        # its student is fit_to's gradient steps
         dom = Domain.product(("a", "b", "c"), ("u", "v"))
-        q = random_dist(rng, 6)
-        m = exact_fit(ConditionalSoftmaxModel(np.zeros((3, 2)), dom), q)
-        q_xy = q.p.reshape(3, 2)
-        cond = q_xy / q_xy.sum(axis=1, keepdims=True)
-        assert np.max(np.abs(m.probs() - cond)) <= 1e-12
-
-    def test_exact_fit_keeps_zero_mass_row(self, rng):
-        dom = Domain.product(("a", "b", "c"), ("u", "v", "w"))
-        m = ConditionalSoftmaxModel(rng.normal(size=(3, 3)), dom)
-        q_xy = rng.dirichlet(np.ones(9)).reshape(3, 3)
-        q_xy[1] = 0.0  # x = 1 gets no mass
-        q_xy[2, 0] = 0.0
-        fitted = exact_fit(m, Dist.from_probs((q_xy / q_xy.sum()).ravel()))
-        assert np.array_equal(fitted.theta[1], m.theta[1])
-        cond = q_xy[[0, 2]] / q_xy[[0, 2]].sum(axis=1, keepdims=True)
-        assert np.isneginf(fitted.theta[2, 0])
-        assert np.max(np.abs(np.exp(fitted.theta[[0, 2]]) - cond)) <= 1e-15
+        m = ConditionalSoftmaxModel(rng.normal(size=(3, 2)), dom)
+        with pytest.raises(TypeError):
+            exact_fit(m, random_dist(rng, 6))
 
 
 class TestMixtureModel:
@@ -93,18 +80,11 @@ class TestMixtureModel:
         m = self.make(rng)
         assert np.exp(m.log_probs()).sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_gradient_matches_finite_difference(self, rng):
+    def test_has_no_gradient(self, rng):
+        # its student is exact_fit's closed form
         m = self.make(rng)
-        q = random_dist(rng, 8)
-        g_mix, g_comp = grad_expected_log_prob(m, q)
-
-        def obj(flat):
-            mm = MixtureModel(flat[:2], flat[2:].reshape(2, 4), m.domain)
-            return expected_log_prob(mm, q)
-
-        flat = np.concatenate([m.mixture_logits, m.component_logits.ravel()])
-        fd = finite_difference_gradient(obj, flat)
-        assert np.max(np.abs(np.concatenate([g_mix, g_comp.ravel()]) - fd)) <= 1e-7
+        with pytest.raises(TypeError):
+            grad_expected_log_prob(m, random_dist(rng, 8))
 
     def test_exact_fit_closed_form(self, rng):
         m = self.make(rng)
@@ -130,9 +110,13 @@ class TestMixtureModel:
 
 
 class TestFitTo:
-    def test_monotone_ascent(self, rng):
-        dom = Domain.product(("a", "b", "c"), ("u", "v"))
-        m = ConditionalSoftmaxModel(rng.normal(size=(3, 2)), dom)
+    @pytest.mark.parametrize("family", ["softmax", "conditional"])
+    def test_monotone_ascent(self, rng, family):
+        if family == "softmax":
+            m = SoftmaxModel(rng.normal(size=6), Domain.of_size(6))
+        else:
+            dom = Domain.product(("a", "b", "c"), ("u", "v"))
+            m = ConditionalSoftmaxModel(rng.normal(size=(3, 2)), dom)
         q = random_dist(rng, 6)
         prev = expected_log_prob(m, q)
         for _ in range(5):

@@ -1,7 +1,10 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
-from sekit.bundles import BundleError, ProblemBundle
+from sekit.bundles import BundleError, ProblemBundle, load_bundle
 from sekit.core import Domain
 from sekit.experience import Dataset, parse_rule
 from sekit.models import ConditionalSoftmaxModel
@@ -16,6 +19,8 @@ EXPECTED_NAMES = {
     "vanilla-gan", "wgan", "ppo-gan", "multiplicative-weights",
     "interpolation-schedule",
 }
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 class TestRegistry:
@@ -211,3 +216,15 @@ class TestChecks:
         b = check_equivalence("unsupervised-mle", "hand-em", mixture_bundle,
                               1e-10, seed=9)
         assert a == b
+
+
+class TestRunners:
+    @pytest.mark.parametrize("name", ["vanilla-gan", "ppo-gan"])
+    def test_gan_reports_the_loops_own_p_theta(self, name):
+        # the final distribution is the p_theta the loop ended on, not a
+        # renormalised copy of it
+        with open(os.path.join(CONFIG_DIR, "gan_target.json")) as fh:
+            bundle = load_bundle(json.load(fh))
+        for seed in range(20):
+            res = run_recipe(name, bundle, seed)
+            assert np.array_equal(res.final_dist.logp, res.model.theta), seed

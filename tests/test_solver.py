@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sekit.core import AllNegInfinity, Dist, Domain
-from sekit.models import ConditionalSoftmaxModel, MixtureModel, SoftmaxModel
+from sekit.models import (ConditionalSoftmaxModel, MixtureModel, SoftmaxModel,
+                          exact_fit, fit_to)
 from sekit.solver import (PlanGap, SEConfig, Segment, _decomposed_teacher, mw_update,
                           run, schedule, student_step, teacher_closed_form)
 
@@ -18,8 +19,6 @@ def mk(raw):
 
 class TestSEConfig:
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            SEConfig(student="magic")
         with pytest.raises(ValueError):
             SEConfig(beta=-0.1)
         with pytest.raises(ValueError):
@@ -79,8 +78,23 @@ class TestStudent:
     def test_exact(self, rng):
         dom = Domain.of_size(5)
         q = mk(rng.random(5) + 0.1)
-        m = student_step(q, SoftmaxModel.zeros(dom), SEConfig(student="exact"))
+        m = student_step(q, SoftmaxModel.zeros(dom))
         assert m.dist().tv(q) <= 1e-12
+
+    def test_conditional_takes_gradient_steps(self, rng):
+        dom = Domain.product(("a", "b", "c"), ("u", "v"))
+        m = ConditionalSoftmaxModel(rng.normal(size=(3, 2)), dom)
+        q = mk(rng.random(6) + 0.1)
+        assert np.array_equal(student_step(q, m).theta,
+                              fit_to(m, q, steps=40).theta)
+
+    def test_mixture_takes_exact_fit(self, rng):
+        dom = Domain.product(("a", "b", "c"), ("k0", "k1"))
+        m = MixtureModel(rng.normal(size=2), rng.normal(size=(2, 3)), dom)
+        q = mk(rng.random(6) + 0.1)
+        got, want = student_step(q, m), exact_fit(m, q)
+        assert np.array_equal(got.mixture_logits, want.mixture_logits)
+        assert np.array_equal(got.component_logits, want.component_logits)
 
 
 class TestDecomposedTeacher:
