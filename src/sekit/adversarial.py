@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dist, logsumexp, normalize_log
+from .core import Dist, normalize_log
 from .divergence import DivergenceFn, NonConvergence, divergence, pfd_step
 from .models import SoftmaxModel
 from .solver import ModeUnsupported, Trace
@@ -240,8 +240,7 @@ def reweighted_discriminator_gradient(disc: Discriminator, p_data: Dist,
     With the weights frozen this equals the plain separation gradient against
     the explicit tilt q = p_theta e^{f_phi} / Z.
     """
-    logq = p_theta.logp + disc.f_values()
-    q = normalize_log(logq - logsumexp(logq))
+    q = normalize_log(p_theta.logp + disc.f_values())
     return discriminator_gradient(disc, p_data, q, "separation")
 
 
@@ -262,6 +261,16 @@ def reweighted_discriminator_update(disc: Discriminator, p_data: Dist,
 def tilted_q(model: SoftmaxModel, disc: Discriminator) -> Dist:
     """q = p_theta e^{f_phi} / Z, the teacher at alpha -> 0+, beta = 1, KL."""
     return normalize_log(model.log_probs() + disc.f_values())
+
+
+def _critic_gap_and_variance(critic: Discriminator, p_data: Dist,
+                             p_theta: Dist):
+    """E_pd[phi] - E_p[phi] and Var_p(phi) of a fitted Lipschitz critic: the
+    two terms of the W-GAN Polyak step.  For the exact critic the gap is
+    clip * W1(p_theta, p_data), by 1-D LP duality."""
+    mean_phi = p_theta.expect(critic.phi)
+    var = p_theta.expect((critic.phi - mean_phi) ** 2)
+    return p_data.expect(critic.phi) - mean_phi, var
 
 
 @dataclass
@@ -287,15 +296,19 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
       "vanilla_gan"   classifier, fitted to     0.5 log(1 - sigma), model_step_size
                       the classification        centred
                       objective
-      "wgan"          Lipschitz critic, fitted  mean(phi) - phi     model_step_size
-                      to the separation                             / sqrt(t)
+      "wgan"          Lipschitz critic, fitted  mean(phi) - phi     W1 / Var_p(phi)
+                      to the separation
       "ppo_gan"       classifier, reweighted    -f_phi              1
                       ascent
 
-    The W1 critic is a subgradient, so its step shrinks as 1/sqrt(t) for the
-    cycle to close; the PPO-GAN step at eta = 1 is the exact student fit to
-    the tilt q = p_theta e^f / Z.  The returned model is built once, from the
-    final p_theta.
+    The W-GAN step is Polyak's (Polyak 1987): the exact critic's gap
+    E_pd[phi] - E_p[phi] is W1 (times clip), and under the tilt
+    p e^{eta phi} / Z it falls at rate Var_p(phi), so eta = W1 / Var_p(phi)
+    closes the linearised gap; it does not depend on clip or coords.  When the
+    gap or the variance is not positive the critic sees no separation and the
+    loop ends, converged if the TV is within tol.  The PPO-GAN step at
+    eta = 1 is the exact student fit to the tilt q = p_theta e^f / Z.  The
+    returned model is built once, from the final p_theta.
 
     After the loop the discriminator is fitted to the final model: the
     vanilla-GAN classifier by per-coordinate Newton ascent (`_newton_classifier`,
@@ -331,7 +344,11 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
             disc = discriminator_update(disc, p_data, p_theta, steps=disc_steps,
                                         step_size=disc_step_size,
                                         objective="separation")
-            psi, eta = disc.phi.mean() - disc.phi, model_step_size / np.sqrt(it)
+            w1, var = _critic_gap_and_variance(disc, p_data, p_theta)
+            if not (w1 > 0.0 and var > 0.0):  # the critic sees no separation
+                trace.converged = p_theta.tv(p_data) <= tol
+                break
+            psi, eta = disc.phi.mean() - disc.phi, w1 / var
         p_theta = pfd_step(p_theta, psi, eta)
         gap = divergence(div, p_theta, p_data)
         tv = p_theta.tv(p_data)

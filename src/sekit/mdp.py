@@ -6,7 +6,9 @@ factorisation of I - gamma T_pi per evaluation (Puterman, Markov Decision
 Processes, 1994, sec. 6.1).  Solving it as-is for r_pi gives V, and
 Q = r + gamma P V follows; solving it transposed for p0 gives the visitation
 mu.  Solves are exact, so oracle comparisons are too; a Q that misses its
-Bellman equation by more than BELLMAN_TOL raises BellmanResidual.
+Bellman equation by more than BELLMAN_TOL * max(1, max|Q|) raises
+BellmanResidual.  The bound is relative because a solve's rounding error
+grows with the scale of Q.
 """
 from __future__ import annotations
 
@@ -24,11 +26,14 @@ BELLMAN_TOL = 1e-8
 
 
 class BellmanResidual(ValueError):
-    """A solved Q misses Q = r + gamma P V by more than BELLMAN_TOL."""
+    """A solved Q misses Q = r + gamma P V by more than its bound,
+    BELLMAN_TOL * max(1, max|Q|)."""
 
-    def __init__(self, residual: float):
-        super().__init__(f"Bellman residual {residual:.3g} exceeds {BELLMAN_TOL:g}")
+    def __init__(self, residual: float, bound: float):
+        super().__init__(f"Bellman residual {residual:.3g} exceeds "
+                         f"{BELLMAN_TOL:g} * max(1, max|Q|) = {bound:.3g}")
         self.residual = residual
+        self.bound = bound
 
 
 class NonPositiveQ(ValueError):
@@ -133,11 +138,12 @@ def _solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
 def _q(mdp: TabularMDP, pi: np.ndarray, lu, rewards: np.ndarray) -> np.ndarray:
     """Q of the factored policy at `rewards`: V = (I - gamma T_pi)^-1 r_pi and
     Q = r + gamma P V.  Raises BellmanResidual if Q misses its Bellman
-    equation by more than BELLMAN_TOL."""
+    equation by more than BELLMAN_TOL * max(1, max|Q|)."""
     q = _backup(mdp, rewards, _solve(lu, (pi * rewards).sum(axis=1)))
     residual = _residual(mdp, pi, q, rewards)
-    if not residual <= BELLMAN_TOL:
-        raise BellmanResidual(residual)
+    bound = BELLMAN_TOL * max(1.0, float(np.max(np.abs(q))))
+    if not residual <= bound:
+        raise BellmanResidual(residual, bound)
     return q
 
 
@@ -146,7 +152,7 @@ def q_function(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> QTable:
 
     Solves (I - gamma T_pi) V = sum_a pi r, then sets Q = r + gamma P V.
     Raises BellmanResidual if the result misses its Bellman equation by more
-    than BELLMAN_TOL.
+    than BELLMAN_TOL * max(1, max|Q|).
     """
     pi, lu = _evaluate(mdp, policy)
     return QTable(_q(mdp, pi, lu, mdp.rewards), mdp, policy)

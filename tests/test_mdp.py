@@ -93,7 +93,20 @@ class TestQFunction:
         with pytest.raises(BellmanResidual) as info:
             q_function(small_mdp, random_policy(small_mdp, rng))
         assert not info.value.residual <= BELLMAN_TOL
+        assert not info.value.residual <= info.value.bound
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_solve_passes_at_large_reward_scale(self, seed):
+        # |Q| ~ 1e10, so rounding alone leaves residuals far above an
+        # absolute 1e-8; the bound is relative to max|Q|
+        g = np.random.default_rng(seed)
+        P = g.dirichlet(np.ones(3), size=(3, 2))
+        mdp = TabularMDP(P, -1e9 + g.random((3, 2)), 0.9, np.ones(3) / 3)
+        table = q_function(mdp, random_policy(mdp, g))
+        scale = np.max(np.abs(table.q))
+        assert table.bellman_residual() <= BELLMAN_TOL * scale
+        assert np.all(np.abs(table.q + 1e10) <= 10.0)  # -1e9 / (1 - 0.9)
 
 
 class TestVisitation:
