@@ -27,7 +27,8 @@ from .core import Dist, Domain, safe_log
 from .experience import (ExperienceFn, f_active, f_data, f_data_augmented,
                          f_data_self, f_data_weighted, f_model_mimic,
                          raml_kernel, selection_distribution)
-from .mdp import exact_policy_gradient, f_reward, q_function, visitation
+from .mdp import (exact_policy_gradient, f_reward, q_function,
+                  reward_and_visitation)
 from .models import (ConditionalSoftmaxModel, MixtureModel, SoftmaxModel,
                      grad_expected_log_prob)
 from .solver import (DEFAULT_EPSILON, SEConfig, Segment, Trace, mw_update,
@@ -211,15 +212,14 @@ def _run_posterior_reg(config, bundle, seed, iters=10) -> RecipeResult:
 def _mdp_teacher(config, bundle, seed, mode, **fkw):
     """One teacher step from a seeded policy at the reward experience `mode`,
     with the state-action distribution (normalized visitation times pi) as
-    the model.  Returns the result, the values of f and the unnormalized
-    visitation."""
+    the model.  f and the visitation share one policy evaluation.  Returns
+    the result, the values of f and the unnormalized visitation."""
     mdp = bundle.mdp
     rng = np.random.default_rng(seed)
     policy = ConditionalSoftmaxModel(rng.normal(size=mdp.rewards.shape) * 0.3,
                                      mdp.domain())
     fn = f_reward(mdp, mode, **fkw)
-    f_vals = fn.values(policy)
-    mu = visitation(mdp, policy)
+    f_vals, mu = reward_and_visitation(mdp, policy, fn)
     joint = mu[:, None] * policy.probs()
     p_sa = Dist.from_probs((joint / joint.sum()).ravel())
     q = teacher_closed_form(p_sa, f_vals, config.alpha, config.beta)
@@ -267,16 +267,13 @@ def _run_distillation(config, bundle, seed) -> RecipeResult:
     return result
 
 
-def _run_gan(recipe, config, bundle, seed, iters=5000, disc_steps=5,
-             disc_step_size=4.0, model_step_size=0.5, clip=1.0,
+def _run_gan(recipe, config, bundle, seed, iters=5000, clip=1.0,
              tol=1e-3) -> RecipeResult:
     """`adversarial_run`, with its defaults, from a seeded model."""
     n = bundle.p_data.size
     rng = np.random.default_rng(seed)
     model = SoftmaxModel(rng.normal(size=n) * 0.5, Domain.of_size(n))
-    res = adversarial_run(recipe, bundle.p_data, model, iters=iters,
-                          disc_steps=disc_steps, disc_step_size=disc_step_size,
-                          model_step_size=model_step_size, clip=clip,
+    res = adversarial_run(recipe, bundle.p_data, model, iters=iters, clip=clip,
                           coords=bundle.coords, tol=tol)
     return RecipeResult(res.model, res.trace, Dist(res.model.theta),
                         extras={"discriminator": res.discriminator,

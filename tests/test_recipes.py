@@ -79,6 +79,14 @@ class TestValidation:
             run_recipe("wgan", ProblemBundle(), iters=2, step=0.1)
         assert issubclass(IncompatiblePair, ValueError)
 
+    @pytest.mark.parametrize("name", ["disc_steps", "disc_step_size",
+                                      "model_step_size"])
+    @pytest.mark.parametrize("recipe", ["vanilla-gan", "wgan", "ppo-gan"])
+    def test_gan_takes_no_step_parameters(self, gan_target, recipe, name):
+        # adversarial_run's own values are the only ones a recipe runs
+        with pytest.raises(IncompatiblePair, match=f"no parameter '{name}'"):
+            run_recipe(recipe, ProblemBundle(p_data=gan_target), 1, **{name: 1.0})
+
     def test_incompatible_pair(self, toy_dataset):
         b = ProblemBundle(dataset=toy_dataset)
         with pytest.raises(IncompatiblePair):

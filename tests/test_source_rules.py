@@ -2,9 +2,11 @@
 `while` loop (each loop is bounded, so it converges or raises a typed error),
 no `SEConfig` field that nothing reads, no import that nothing uses, no
 engine definition that only tests reach, no engine import in the oracles, no
-`scipy.special` in the engine, and one linear-solve path: `scipy.linalg` in
-`mdp.py` only and no `np.linalg.solve` or `np.linalg.inv` outside the
-oracles."""
+`scipy.special` in the engine, no `scipy.sparse` anywhere in sekit (its
+import alone raises every run's peak memory and set-up time; the MDP kernels
+read P's sparse view as plain numpy arrays), and one linear-solve path:
+`scipy.linalg` in `mdp.py` only and no `np.linalg.solve` or `np.linalg.inv`
+outside the oracles."""
 import ast
 import dataclasses
 from pathlib import Path
@@ -94,6 +96,12 @@ def test_engine_does_not_import_scipy_special(path):
 def test_only_mdp_imports_scipy_linalg(path):
     # mdp.py's one LU factorisation is the engine's only linear solver
     assert list(_imports(path, "scipy.linalg")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy_sparse(path):
+    # importing it costs every workload memory and set-up time, MDP or not
+    assert list(_imports(path, "scipy.sparse")) == []
 
 
 def _dense_solves(path):
