@@ -96,7 +96,9 @@ def logsumexp(a, axis=None, keepdims=False):
         a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
         top = a == a_max
         m = np.add.reduce(top, axis=axis, keepdims=True, dtype=a.dtype)
-        rest = np.exp(np.where(top, -np.inf, a) - a_max)
+        rest = a - a_max
+        np.copyto(rest, -np.inf, where=top)
+        np.exp(rest, out=rest)
         s = np.add.reduce(rest, axis=axis, keepdims=True) / m
         out = np.log1p(s) + np.log(m) + a_max
         finite = np.isfinite(out)
@@ -109,9 +111,8 @@ def logsumexp(a, axis=None, keepdims=False):
 
 
 def safe_log(x: np.ndarray) -> np.ndarray:
-    """Elementwise log with log(0) = -inf exactly and no divide warning."""
-    with np.errstate(divide="ignore"):
-        return np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
+    """Elementwise log, -inf exactly where x <= 0 or x is nan, with no warning."""
+    return np.log(x, out=np.full(x.shape, -np.inf), where=x > 0)
 
 
 class Dist:

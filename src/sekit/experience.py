@@ -163,7 +163,7 @@ def f_data_augmented(dataset: Dataset, kernel: np.ndarray) -> ExperienceFn:
     if np.any(kernel < 0):
         raise DegenerateKernel("kernel must be non-negative")
     support = dataset.counts > 0
-    if np.all(kernel[support] == 0):
+    if not kernel.any(axis=1)[support].any():
         raise DegenerateKernel("kernel vanishes on the dataset support")
     smoothed = dataset.empirical() @ kernel
     return ExperienceFn.from_vector(dataset.domain, safe_log(smoothed), name="data-aug")
@@ -172,7 +172,9 @@ def f_data_augmented(dataset: Dataset, kernel: np.ndarray) -> ExperienceFn:
 def raml_kernel(payoff: np.ndarray) -> np.ndarray:
     """Row-normalized exp{R(t, t*)} kernel from a payoff matrix R[t*, t]."""
     payoff = np.asarray(payoff, dtype=float)
-    k = np.exp(payoff - logsumexp(payoff, axis=1, keepdims=True))
+    k = payoff - payoff.max(axis=1, keepdims=True)
+    np.exp(k, out=k)
+    k /= k.sum(axis=1, keepdims=True)
     return k
 
 

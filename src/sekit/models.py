@@ -147,22 +147,22 @@ def grad_expected_log_prob(model: Model, q: Dist) -> np.ndarray:
     only the conditional part contributes; q lives on the product domain.
     The mixture has no gradient here: its student is `exact_fit`.
     """
+    return _grad_at(model, q, model.log_probs())
+
+
+def _grad_at(model: Model, q: Dist, log_probs: np.ndarray) -> np.ndarray:
     if isinstance(model, SoftmaxModel):
         if q.size != model.domain.size:
             raise ShapeMismatch("q does not match the model domain")
-        return q.p - np.exp(model.log_probs())
+        return q.p - np.exp(log_probs)
     if isinstance(model, ConditionalSoftmaxModel):
         nx, ny = model.domain.factor_sizes
         if q.size != nx * ny:
             raise ShapeMismatch("q does not match the product domain")
         q_xy = q.p.reshape(nx, ny)
         q_x = q_xy.sum(axis=1)
-        return q_xy - q_x[:, None] * model.probs()
+        return q_xy - q_x[:, None] * np.exp(log_probs)
     raise TypeError(f"unsupported model type {type(model)!r}")
-
-
-def expected_log_prob(model: Model, q: Dist) -> float:
-    return q.expect(model.log_probs().ravel())
 
 
 def exact_fit(model: Model, q: Dist) -> Model:
@@ -189,24 +189,26 @@ def fit_to(model: Model, q: Dist, steps: int = 100, step_size: float = 1.0) -> M
     backtracking so the objective is non-decreasing per step.
 
     Any family with a `grad_expected_log_prob` (softmax, conditional) can be
-    fitted; a mixture raises TypeError.
+    fitted; a mixture raises TypeError.  A candidate's `log_probs()` give its
+    objective and, once it is accepted, the next gradient.
     """
     if steps < 0 or step_size <= 0:
         raise ValueError("steps >= 0 and step_size > 0 required")
-    current = model
-    obj = expected_log_prob(current, q)
+    current, log_probs = model, model.log_probs()
+    obj = q.expect(log_probs.ravel())
     for _ in range(steps):
-        grad = grad_expected_log_prob(current, q)
+        grad = _grad_at(current, q, log_probs)
         if not np.all(np.isfinite(grad)):
             raise NonFiniteGradient("gradient has non-finite entries")
         eta = step_size
         for _halving in range(30):
             candidate = current.with_theta(current.theta + eta * grad)
-            new_obj = expected_log_prob(candidate, q)
+            new_log_probs = candidate.log_probs()
+            new_obj = q.expect(new_log_probs.ravel())
             if new_obj >= obj:
                 break
             eta /= 2.0
         else:
             return current  # no ascent direction at this scale
-        current, obj = candidate, new_obj
+        current, obj, log_probs = candidate, new_obj, new_log_probs
     return current

@@ -158,14 +158,13 @@ def _run_reweighting(config, bundle, seed) -> RecipeResult:
 
 
 def _run_augmentation(config, bundle, seed) -> RecipeResult:
-    kernel = raml_kernel(bundle.payoff)
-    fn = f_data_augmented(bundle.dataset, kernel)
+    fn = f_data_augmented(bundle.dataset, raml_kernel(bundle.payoff))
     result = _mle_like(config, fn)
     # first teacher from a uniform model: the model term is constant, so this
     # is the pure exponentiated-payoff mixture
     uniform = SoftmaxModel.zeros(fn.domain)
     q0 = teacher_closed_form(uniform.dist(), fn.values(), config.alpha, config.beta)
-    result.extras = {"first_teacher": q0, "kernel": kernel}
+    result.extras = {"first_teacher": q0}
     return result
 
 

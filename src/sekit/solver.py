@@ -115,19 +115,15 @@ class Trace:
 # ---------------------------------------------------------------------------
 
 def _tilt_scores(logp: np.ndarray, f_vals: np.ndarray, beta: float) -> np.ndarray:
-    """beta * log p + f with the conventions beta=0 kills the model term and
-    -inf absorbs."""
-    if beta == 0:
-        model_term = np.zeros_like(logp)
-    else:
-        model_term = np.where(np.isneginf(logp), -np.inf, beta * logp)
-    return np.where(np.isneginf(f_vals) | np.isneginf(model_term),
-                    -np.inf, model_term + np.where(np.isneginf(f_vals), 0.0, f_vals))
+    """beta * log p + f for beta >= 0 (0 kills the model term); -inf absorbs."""
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    return f_vals + 0.0 if beta == 0 else beta * logp + f_vals
 
 
 def teacher_closed_form(p_theta: Dist, f_vals: np.ndarray, alpha: float,
                         beta: float) -> Dist:
-    """q(t) proportional to exp{(beta log p_theta(t) + f(t)) / alpha}.
+    """q(t) proportional to exp{(beta log p_theta(t) + f(t)) / alpha}, beta >= 0.
 
     alpha = 0 takes the zero-temperature limit: a point mass on the argmax of
     beta log p_theta + f, ties broken by lowest index.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sekit.core import (AllNegInfinity, BoundaryPoint, Dist, Domain, entropy,
-                        entropy_grad, logsumexp, normalize_log)
+                        entropy_grad, logsumexp, normalize_log, safe_log)
 
 finite_scores = arrays(np.float64, st.integers(2, 12),
                        elements=st.floats(-30, 30))
@@ -125,7 +125,8 @@ class TestNormalizeLog:
 
 def _lse_inputs():
     """Seeded draws with -inf entries, ties at the max, all -inf slices, a
-    +inf entry and a 1e5-vector, over several shapes and magnitudes."""
+    +inf entry, 1e5-vectors and a 2000-column matrix, over several shapes
+    and magnitudes."""
     rng = np.random.default_rng(24)
     for i in range(600):
         shape = [(10,), (1,), (7, 4), (3, 1), (2, 3, 5)][i % 5]
@@ -146,6 +147,11 @@ def _lse_inputs():
     big[::9] = -np.inf
     yield big
     yield big.reshape(100, 1000)
+    yield np.round(rng.normal(size=100_000) * 3.0)  # n = 1e5 with ties
+    wide = np.round(rng.normal(size=(6, 2000)) * 5.0)  # ties along axis 1
+    wide[2] = -np.inf
+    wide[4, ::3] = -np.inf
+    yield wide
 
 
 def test_logsumexp_matches_scipy_bit_for_bit():
@@ -162,7 +168,31 @@ def test_logsumexp_matches_scipy_bit_for_bit():
                     assert np.shape(got) == np.shape(want)
                     assert np.array_equal(got, want), (a, axis, keepdims)
                     n += 1
-    assert n == 602 * 6
+    assert n == 604 * 6
+
+
+def test_safe_log_matches_the_two_select_form_bit_for_bit():
+    # the expression safe_log replaced, kept here as the reference
+    def reference(x):
+        with np.errstate(divide="ignore"):
+            return np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
+
+    rng = np.random.default_rng(31)
+    specials = np.array([0.0, -0.0, np.nan, -np.inf, np.inf, -1.0, 5e-324, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(200):
+            shape = [(9,), (1,), (4, 6), (2, 3, 5), ()][i % 5]
+            x = rng.exponential(size=shape) * [1e-300, 1.0, 1e300][i % 3]
+            if x.ndim:
+                hit = rng.random(shape) < 0.4
+                x[hit] = rng.choice(specials, size=int(hit.sum()))
+            got, want = safe_log(x), reference(x)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), x
+    assert np.array_equal(safe_log(specials),
+                          [-np.inf, -np.inf, -np.inf, -np.inf, np.inf, -np.inf,
+                           np.log(5e-324), 0.0])
 
 
 class TestEntropy:

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -73,9 +74,30 @@ class TestDataExperience:
         with pytest.raises(DegenerateKernel):
             f_data_augmented(toy_dataset, -np.eye(8))
 
+    def test_augmented_support_test_reads_rows_on_the_support(self, toy_dataset):
+        # index 1 has no data: a kernel whose only nonzero row is t* = 1
+        # vanishes on the support
+        off = np.zeros((8, 8))
+        off[1] = 1.0
+        with pytest.raises(DegenerateKernel):
+            f_data_augmented(toy_dataset, off)
+        on = np.zeros((8, 8))
+        on[4, 2] = 1.0  # one support row suffices
+        f = f_data_augmented(toy_dataset, on)
+        assert np.array_equal(np.isfinite(f.values()), np.arange(8) == 2)
+
     def test_raml_kernel_rows_normalize(self, rng):
-        k = raml_kernel(rng.normal(size=(5, 5)))
-        assert np.allclose(k.sum(axis=1), 1.0)
+        R = rng.normal(size=(12, 300)) * 4.0
+        R[1] = 1e5 + rng.normal(size=300)  # rows at 1e5 scale
+        R[2] *= 1e5
+        R[3, ::4] = -np.inf  # rows with -inf entries
+        R[4, 1:] = -np.inf
+        R[5] = np.round(R[5])  # ties at the max
+        k = raml_kernel(R)
+        want = scipy.special.softmax(R, axis=1)
+        assert np.all(np.abs(k - want) <= 4 * np.spacing(want))
+        assert np.all(k[3, ::4] == 0.0) and np.array_equal(k[4], np.eye(300)[0])
+        assert np.max(np.abs(k.sum(axis=1) - 1.0)) <= 300 * np.finfo(float).eps
 
 
 class TestActive:

@@ -3,9 +3,14 @@ import pytest
 
 from sekit.core import Dist, Domain
 from sekit.models import (ConditionalSoftmaxModel, MixtureModel,
-                          ShapeMismatch, SoftmaxModel, exact_fit,
-                          expected_log_prob, fit_to, grad_expected_log_prob)
+                          NonFiniteGradient, ShapeMismatch, SoftmaxModel,
+                          exact_fit, fit_to, grad_expected_log_prob)
 from sekit.oracles import finite_difference_gradient
+
+
+def expected_log_prob(model, q):
+    """E_q[log p_theta], the objective `fit_to` ascends."""
+    return q.expect(model.log_probs().ravel())
 
 
 def random_dist(rng, n):
@@ -124,6 +129,51 @@ class TestFitTo:
             cur = expected_log_prob(m, q)
             assert cur >= prev - 1e-12
             prev = cur
+
+    @staticmethod
+    def _reference_fit(model, q, steps, step_size):
+        """The loop as it stood when every gradient recomputed the current
+        model's log-softmax; returns the fit and its step halvings."""
+        current = model
+        obj = expected_log_prob(current, q)
+        halvings = 0
+        for _ in range(steps):
+            if isinstance(current, SoftmaxModel):
+                grad = q.p - np.exp(current.log_probs())
+            else:
+                q_xy = q.p.reshape(current.theta.shape)
+                grad = q_xy - q_xy.sum(axis=1)[:, None] * current.probs()
+            if not np.all(np.isfinite(grad)):
+                raise NonFiniteGradient("gradient has non-finite entries")
+            eta = step_size
+            for _halving in range(30):
+                candidate = current.with_theta(current.theta + eta * grad)
+                new_obj = expected_log_prob(candidate, q)
+                if new_obj >= obj:
+                    break
+                eta /= 2.0
+                halvings += 1
+            else:
+                return current, halvings
+            current, obj = candidate, new_obj
+        return current, halvings
+
+    @pytest.mark.parametrize("family", ["softmax", "conditional"])
+    @pytest.mark.parametrize("step_size", [1.0, 60.0])
+    def test_bit_identical_to_reference_loop(self, family, step_size):
+        g = np.random.default_rng(7)
+        for _ in range(5):
+            if family == "softmax":
+                m = SoftmaxModel(3.0 * g.normal(size=12), Domain.of_size(12))
+            else:
+                dom = Domain.product(tuple("abcd"), ("u", "v", "w"))
+                m = ConditionalSoftmaxModel(3.0 * g.normal(size=(4, 3)), dom)
+            q = Dist.from_probs(g.dirichlet(np.full(12, 0.3)))
+            want, halvings = self._reference_fit(m, q, 40, step_size)
+            got = fit_to(m, q, steps=40, step_size=step_size)
+            assert np.array_equal(got.theta, want.theta)
+            # a step of 60 overshoots and must backtrack; a step of 1 need not
+            assert halvings > 0 or step_size == 1.0
 
     def test_bad_args(self, rng):
         dom = Domain.of_size(3)

@@ -138,6 +138,13 @@ class TestChecks:
         rep = check_equivalence("data-augmentation", "enumeration", b, 1e-12)
         assert rep["passed"], rep
 
+    def test_augmentation_keeps_no_kernel(self, rng):
+        # the N x N kernel is only needed to build f; the run must not hold it
+        ds = Dataset(Domain.of_size(6), rng.integers(1, 9, 6).astype(float))
+        b = ProblemBundle(dataset=ds, payoff=rng.normal(size=(6, 6)))
+        res = run_recipe("data-augmentation", b, 0)
+        assert not any(np.ndim(v) == 2 for v in res.extras.values())
+
     def test_active(self, rng):
         pool = Dataset(Domain.of_size(5, "x"), np.array([3.0, 1.0, 4.0, 2.0, 5.0]))
         b = ProblemBundle(pool=pool, oracle_labels=np.array([0, 1, 2, 0, 1]),

@@ -9,8 +9,9 @@ from hypothesis.extra.numpy import arrays
 from sekit.core import AllNegInfinity, Dist, Domain
 from sekit.models import (ConditionalSoftmaxModel, MixtureModel, SoftmaxModel,
                           exact_fit, fit_to)
-from sekit.solver import (PlanGap, SEConfig, Segment, _decomposed_teacher, mw_update,
-                          run, schedule, student_step, teacher_closed_form)
+from sekit.solver import (PlanGap, SEConfig, Segment, _decomposed_teacher,
+                          _tilt_scores, mw_update, run, schedule, student_step,
+                          teacher_closed_form)
 
 
 def mk(raw):
@@ -54,6 +55,40 @@ class TestClosedFormTeacher:
         f = np.array([-np.inf, 0.0])
         with pytest.raises(AllNegInfinity):
             teacher_closed_form(p, f, 1.0, 1.0)
+
+    def test_tilt_matches_the_select_form_bit_for_bit(self):
+        # the expression _tilt_scores replaced, kept here as the reference
+        def reference(logp, f_vals, beta):
+            if beta == 0:
+                model_term = np.zeros_like(logp)
+            else:
+                model_term = np.where(np.isneginf(logp), -np.inf, beta * logp)
+            return np.where(np.isneginf(f_vals) | np.isneginf(model_term), -np.inf,
+                            model_term + np.where(np.isneginf(f_vals), 0.0, f_vals))
+
+        g = np.random.default_rng(41)
+        specials = np.array([-np.inf, 0.0, -0.0])
+        for i in range(100):
+            shape = [(10,), (1,), (5, 4)][i % 3]
+            logp = g.normal(size=shape) * [1.0, 700.0][i % 2]
+            f = g.normal(size=shape) * [1.0, 1e3, 1e-3][i % 3]
+            for a in (logp, f):
+                hit = g.random(shape) < 0.3
+                a[hit] = g.choice(specials, size=int(hit.sum()))
+            # nan is no valid experience value; beside a finite log p it must
+            # propagate as it did
+            f[(g.random(shape) < 0.1) & np.isfinite(logp)] = np.nan
+            for beta in (0.0, 1e-8, 0.5, 1.0, 3.0):
+                got, want = _tilt_scores(logp, f, beta), reference(logp, f, beta)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_negative_beta_raises(self):
+        # SEConfig rejects beta < 0; the teacher must not quietly tilt by it,
+        # on the interior or where the model has a hard zero
+        for p in (mk(np.array([0.2, 0.5, 0.3])), mk(np.array([0.5, 0.5, 0.0]))):
+            with pytest.raises(ValueError, match="beta"):
+                teacher_closed_form(p, np.zeros(3), 1.0, -0.5)
 
     def test_minimizes_objective(self, rng):
         # the closed form beats every point on a dense simplex grid
