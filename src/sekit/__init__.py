@@ -8,7 +8,7 @@ multiplicative weights.
 """
 
 from .core import Dist, Domain, entropy, normalize_log
-from .divergence import CE, JS, KL, DivergenceFn, divergence, influence_function, pfd_step
+from .divergence import CE, JS, KL, DivergenceFn, divergence, influence_function
 from .experience import Dataset, ExperienceFn, combine, f_data, f_rule, parse_rule
 from .models import ConditionalSoftmaxModel, MixtureModel, SoftmaxModel
 from .mdp import TabularMDP, exact_policy_gradient, q_function, visitation
@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Dist", "Domain", "entropy", "normalize_log",
     "CE", "JS", "KL", "DivergenceFn", "divergence", "influence_function",
-    "pfd_step", "Dataset", "ExperienceFn", "combine", "f_data", "f_rule",
-    "parse_rule", "ConditionalSoftmaxModel", "MixtureModel", "SoftmaxModel",
+    "Dataset", "ExperienceFn", "combine", "f_data", "f_rule", "parse_rule",
+    "ConditionalSoftmaxModel", "MixtureModel", "SoftmaxModel",
     "TabularMDP", "exact_policy_gradient", "q_function", "visitation",
     "SEConfig", "Segment", "Trace", "mw_update", "run", "schedule",
     "teacher_closed_form", "Discriminator", "adversarial_run", "Recipe",

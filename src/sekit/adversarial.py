@@ -13,12 +13,16 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dist, normalize_log
-from .divergence import DivergenceFn, NonConvergence, divergence, pfd_step
+from .core import Dist
+from .divergence import DivergenceFn, NonConvergence, divergence
 from .models import SoftmaxModel
-from .solver import ModeUnsupported, Trace
+from .solver import ModeUnsupported, Trace, teacher_closed_form
 
 MODES = ("classifier", "lipschitz_critic")
+# the GAN loop's discriminator ascent and its vanilla-GAN model step
+DISC_STEPS = 5
+DISC_STEP_SIZE = 4.0
+MODEL_STEP_SIZE = 0.5
 # the vanilla-GAN classifier polish (_newton_classifier)
 POLISH_MAX_ITERS = 60
 POLISH_STEP_TOL = 1e-12
@@ -238,9 +242,10 @@ def reweighted_discriminator_gradient(disc: Discriminator, p_data: Dist,
     with the importance weights e^{f_phi} / Z held fixed at the current phi.
 
     With the weights frozen this equals the plain separation gradient against
-    the explicit tilt q = p_theta e^{f_phi} / Z.
+    the explicit tilt q = p_theta e^{f_phi} / Z, the teacher at
+    alpha = beta = 1 with f = f_phi.
     """
-    q = normalize_log(p_theta.logp + disc.f_values())
+    q = teacher_closed_form(p_theta, disc.f_values(), 1.0, 1.0)
     return discriminator_gradient(disc, p_data, q, "separation")
 
 
@@ -259,8 +264,9 @@ def reweighted_discriminator_update(disc: Discriminator, p_data: Dist,
 
 
 def tilted_q(model: SoftmaxModel, disc: Discriminator) -> Dist:
-    """q = p_theta e^{f_phi} / Z, the teacher at alpha -> 0+, beta = 1, KL."""
-    return normalize_log(model.log_probs() + disc.f_values())
+    """q = p_theta e^{f_phi} / Z, the teacher at alpha = beta = 1 with
+    f = f_phi."""
+    return teacher_closed_form(model.dist(), disc.f_values(), 1.0, 1.0)
 
 
 def _critic_gap_and_variance(critic: Discriminator, p_data: Dist,
@@ -281,34 +287,32 @@ class AdversarialResult:
 
 
 def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
-                    iters: int = 5000, disc_steps: int = 5,
-                    disc_step_size: float = 4.0, model_step_size: float = 0.5,
-                    clip: float = 1.0, coords: Optional[np.ndarray] = None,
+                    iters: int = 5000, coords: Optional[np.ndarray] = None,
                     tol: float = 1e-3) -> AdversarialResult:
     """Alternating discriminator / model updates for the zero-entropy recipes.
 
     Each iteration fits the discriminator to the current p_theta, then moves
-    p_theta by one probability-functional-descent step (`pfd_step`),
-    p_theta <- p_theta exp(-eta psi) / Z, along the recipe's estimate psi of
-    the divergence's influence function:
+    p_theta by one probability-functional-descent step (Chu, Blanchet & Glynn,
+    ICML 2019), p_theta exp(-eta psi) / Z: the teacher at alpha = beta = 1 with
+    f = -eta psi, along the recipe's estimate psi of the influence function:
 
       recipe          discriminator             psi                 eta
-      "vanilla_gan"   classifier, fitted to     0.5 log(1 - sigma), model_step_size
-                      the classification        centred
-                      objective
+      "vanilla_gan"   classifier, DISC_STEPS    0.5 log(1 - sigma), MODEL_STEP_SIZE
+                      ascent steps on the       centred
+                      classification objective
       "wgan"          Lipschitz critic, fitted  mean(phi) - phi     W1 / Var_p(phi)
                       to the separation
-      "ppo_gan"       classifier, reweighted    -f_phi              1
-                      ascent
+      "ppo_gan"       classifier, DISC_STEPS    -f_phi              1
+                      reweighted ascent steps
 
     The W-GAN step is Polyak's (Polyak 1987): the exact critic's gap
-    E_pd[phi] - E_p[phi] is W1 (times clip), and under the tilt
-    p e^{eta phi} / Z it falls at rate Var_p(phi), so eta = W1 / Var_p(phi)
-    closes the linearised gap; it does not depend on clip or coords.  When the
-    gap or the variance is not positive the critic sees no separation and the
-    loop ends, converged if the TV is within tol.  The PPO-GAN step at
-    eta = 1 is the exact student fit to the tilt q = p_theta e^f / Z.  The
-    returned model is built once, from the final p_theta.
+    E_pd[phi] - E_p[phi] is W1, and under the tilt p e^{eta phi} / Z it falls
+    at rate Var_p(phi), so eta = W1 / Var_p(phi) closes the linearised gap; it
+    does not depend on coords.  When the gap or the variance is not positive
+    the critic sees no separation and the loop ends, converged if the TV is
+    within tol.  The PPO-GAN step at eta = 1 is the exact student fit to the
+    tilt q = p_theta e^f / Z.  The returned model is built once, from the
+    final p_theta.
 
     After the loop the discriminator is fitted to the final model: the
     vanilla-GAN classifier by per-coordinate Newton ascent (`_newton_classifier`,
@@ -321,7 +325,7 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
     n = p_data.size
     if recipe == "wgan":
         coords = np.arange(n, dtype=float) if coords is None else coords
-        disc = Discriminator(np.zeros(n), "lipschitz_critic", clip, coords)
+        disc = Discriminator(np.zeros(n), "lipschitz_critic", coords=coords)
         div = DivergenceFn("w1", coords)
     else:
         disc = Discriminator(np.zeros(n), "classifier")
@@ -332,24 +336,23 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
         t0 = time.perf_counter()
         if recipe == "ppo_gan":
             disc = reweighted_discriminator_update(
-                disc, p_data, p_theta, steps=disc_steps, step_size=disc_step_size)
+                disc, p_data, p_theta, steps=DISC_STEPS, step_size=DISC_STEP_SIZE)
             psi, eta = -disc.f_values(), 1.0
         elif recipe == "vanilla_gan":
-            disc = discriminator_update(disc, p_data, p_theta, steps=disc_steps,
-                                        step_size=disc_step_size,
+            disc = discriminator_update(disc, p_data, p_theta, steps=DISC_STEPS,
+                                        step_size=DISC_STEP_SIZE,
                                         objective="classification")
             psi = 0.5 * _log_sigmoid(-disc.phi)  # 0.5 log(1 - sigma)
-            psi, eta = psi - psi.mean(), model_step_size
-        else:  # wgan
-            disc = discriminator_update(disc, p_data, p_theta, steps=disc_steps,
-                                        step_size=disc_step_size,
+            psi, eta = psi - psi.mean(), MODEL_STEP_SIZE
+        else:  # wgan: the box ascent is exact, so it takes no steps
+            disc = discriminator_update(disc, p_data, p_theta,
                                         objective="separation")
             w1, var = _critic_gap_and_variance(disc, p_data, p_theta)
             if not (w1 > 0.0 and var > 0.0):  # the critic sees no separation
                 trace.converged = p_theta.tv(p_data) <= tol
                 break
             psi, eta = disc.phi.mean() - disc.phi, w1 / var
-        p_theta = pfd_step(p_theta, psi, eta)
+        p_theta = teacher_closed_form(p_theta, -eta * psi, 1.0, 1.0)
         gap = divergence(div, p_theta, p_data)
         tv = p_theta.tv(p_data)
         ms = (time.perf_counter() - t0) * 1000.0

@@ -141,9 +141,9 @@ def _json_default(obj):
 
 def _write_outputs(out_dir: Path, cfg: dict, seed: int, result) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trace.csv").write_text(result.trace.to_csv(deterministic=True))
+    (out_dir / "trace.csv").write_text(result.trace.to_csv())
     with open(out_dir / "trace.json", "w") as fh:
-        json.dump(result.trace.to_json_obj(deterministic=True), fh, indent=2,
+        json.dump(result.trace.to_json_obj(), fh, indent=2,
                   default=_json_default, sort_keys=True)
     payload = _model_json(result.model)
     if result.final_dist is not None:

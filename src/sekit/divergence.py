@@ -1,6 +1,7 @@
 """Divergence functions on the simplex (cross entropy, KL, JS, 1-D W1) with
 exact values, gradients in q, and the influence-function machinery for
-probability functional descent (PFD).
+probability functional descent (PFD), whose step q exp(-eta psi) / Z is the
+teacher at alpha = beta = 1 with f = -eta psi (`solver.teacher_closed_form`).
 
 Support violations return a tagged +inf, never NaN.
 """
@@ -213,12 +214,3 @@ def influence_function(kind: str, p_d: Dist, q: Dist,
         f"influence ascent residual {res:.3e} > {tol:.1e} after {max_iters} iterations",
         psi=phi - phi.mean(), iterations=max_iters, residual=res)
 
-
-def pfd_step(q: Dist, psi: np.ndarray, step: float) -> Dist:
-    """One probability-functional-descent step q' = q exp(-step psi) / Z
-    (Chu, Blanchet & Glynn, ICML 2019): mirror descent on a functional of q
-    along psi, its influence function or an estimate of it, such as
-    `InfluenceFn.psi` or a discriminator's."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return normalize_log(q.logp - step * psi)

@@ -178,11 +178,12 @@ def raml_kernel(payoff: np.ndarray) -> np.ndarray:
     return k
 
 
-def f_active(pool: Dataset, oracle: Callable[[int], int], u: np.ndarray,
+def f_active(pool: Dataset, labels: np.ndarray, u: np.ndarray,
              lam: float, product_domain: Domain) -> ExperienceFn:
     """Active supervision: oracle-labeled pool experience plus lambda * u(x).
 
-    f(x, y) = log E_{x* ~ pool, y* = oracle(x*)}[1{(x,y)=(x*,y*)}] + lam * u(x).
+    f(x, y) = log E_{x* ~ pool, y* = labels[x*]}[1{(x,y)=(x*,y*)}] + lam * u(x).
+    Only the labels of observed pool points are read.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -192,14 +193,13 @@ def f_active(pool: Dataset, oracle: Callable[[int], int], u: np.ndarray,
     if pool.domain.size != nx:
         raise DomainMismatch("pool domain must match the X factor")
     u = np.asarray(u, dtype=float)
+    observed = np.flatnonzero(pool.counts)
+    y = np.asarray(labels)[observed].astype(int)
+    bad = (y < 0) | (y >= ny)
+    if bad.any():
+        raise DomainMismatch(f"oracle label {y[bad][0]} outside Y")
     joint = np.zeros(product_domain.size)
-    for x, m in enumerate(pool.counts):
-        if m == 0:
-            continue
-        y = int(oracle(x))
-        if not (0 <= y < ny):
-            raise DomainMismatch(f"oracle label {y} outside Y")
-        joint[product_domain.pair(x, y)] += m / pool.n_data
+    joint[observed * ny + y] = pool.counts[observed] / pool.n_data
     bonus = np.repeat(lam * u, ny)
     return ExperienceFn.from_vector(product_domain, safe_log(joint) + bonus,
                                     name="active")

@@ -173,8 +173,7 @@ def _run_active(config, bundle, seed, n_labels=None) -> RecipeResult:
     ny = n_labels if n_labels is not None else int(labels.max()) + 1
     prod = Domain.product(bundle.pool.domain.labels,
                           tuple(f"y{j}" for j in range(ny)))
-    fn = f_active(bundle.pool, lambda x: int(labels[x]), bundle.utility,
-                  bundle.select_lambda, prod)
+    fn = f_active(bundle.pool, labels, bundle.utility, bundle.select_lambda, prod)
     result = _mle_like(config, fn)
     result.extras = {
         "selection": selection_distribution(bundle.pool, bundle.utility,
@@ -266,13 +265,12 @@ def _run_distillation(config, bundle, seed) -> RecipeResult:
     return result
 
 
-def _run_gan(recipe, config, bundle, seed, iters=5000, clip=1.0,
-             tol=1e-3) -> RecipeResult:
+def _run_gan(recipe, config, bundle, seed, iters=5000, tol=1e-3) -> RecipeResult:
     """`adversarial_run`, with its defaults, from a seeded model."""
     n = bundle.p_data.size
     rng = np.random.default_rng(seed)
     model = SoftmaxModel(rng.normal(size=n) * 0.5, Domain.of_size(n))
-    res = adversarial_run(recipe, bundle.p_data, model, iters=iters, clip=clip,
+    res = adversarial_run(recipe, bundle.p_data, model, iters=iters,
                           coords=bundle.coords, tol=tol)
     return RecipeResult(res.model, res.trace, Dist(res.model.theta),
                         extras={"discriminator": res.discriminator,

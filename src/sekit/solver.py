@@ -49,7 +49,9 @@ class SEConfig:
     objective_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.beta < 0:
+        if not self.alpha >= 0:
+            raise ValueError("alpha must be >= 0")
+        if not self.beta >= 0:
             raise ValueError("beta must be >= 0")
         if self.q_decomposition not in ("none", "fixed_x_marginal"):
             raise ValueError(f"unknown q_decomposition {self.q_decomposition!r}")
@@ -78,19 +80,18 @@ class Trace:
     def add(self, **kwargs):
         self.records.append(TraceRecord(**kwargs))
 
-    def to_csv(self, deterministic: bool = True) -> str:
-        """CSV text; with deterministic=True the wall-clock column is zeroed
-        so identical (config, seed) runs serialize byte-identically."""
+    def to_csv(self) -> str:
+        """CSV text with the wall-clock column zeroed, so identical
+        (config, seed) runs serialize byte-identically."""
         lines = [",".join(self.CSV_COLUMNS)]
         for r in self.records:
-            ms = 0.0 if deterministic else r.ms
             tv = "" if r.tv_to_ref is None else repr(r.tv_to_ref)
             lines.append(",".join([
                 str(r.iteration), repr(r.neg_alpha_h), repr(r.beta_d),
-                repr(r.neg_e_q_f), repr(r.total), tv, repr(ms)]))
+                repr(r.neg_e_q_f), repr(r.total), tv, "0.0"]))
         return "\n".join(lines) + "\n"
 
-    def to_json_obj(self, deterministic: bool = True) -> dict:
+    def to_json_obj(self) -> dict:
         return {
             "converged": self.converged,
             "diagnostics": self.diagnostics,
@@ -102,7 +103,7 @@ class Trace:
                     "neg_Eqf": r.neg_e_q_f,
                     "total": r.total,
                     "tv_to_ref": r.tv_to_ref,
-                    "ms": 0.0 if deterministic else r.ms,
+                    "ms": 0.0,
                     "tag": r.tag,
                 }
                 for r in self.records
@@ -116,26 +117,28 @@ class Trace:
 
 def _tilt_scores(logp: np.ndarray, f_vals: np.ndarray, beta: float) -> np.ndarray:
     """beta * log p + f for beta >= 0 (0 kills the model term); -inf absorbs."""
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("beta must be >= 0")
     return f_vals + 0.0 if beta == 0 else beta * logp + f_vals
 
 
 def teacher_closed_form(p_theta: Dist, f_vals: np.ndarray, alpha: float,
                         beta: float) -> Dist:
-    """q(t) proportional to exp{(beta log p_theta(t) + f(t)) / alpha}, beta >= 0.
+    """q(t) proportional to exp{(beta log p_theta(t) + f(t)) / alpha}, alpha, beta >= 0.
 
     alpha = 0 takes the zero-temperature limit: a point mass on the argmax of
     beta log p_theta + f, ties broken by lowest index.
     """
+    if not alpha >= 0:
+        raise ValueError("alpha must be >= 0")
     f_vals = np.asarray(f_vals, dtype=float)
     scores = _tilt_scores(p_theta.logp, f_vals, beta)
-    if np.all(np.isneginf(scores)):
-        raise AllNegInfinity("teacher scores are all -inf")
     if alpha == 0:
+        if np.all(np.isneginf(scores)):
+            raise AllNegInfinity("teacher scores are all -inf")
         best = int(np.argmax(scores))  # argmax takes the first maximizer
         return Dist.point_mass(p_theta.size, best)
-    return normalize_log(scores / alpha)
+    return normalize_log(scores / alpha)  # raises AllNegInfinity itself
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from sekit.adversarial import (Discriminator, discriminator_gradient,
 from sekit.bundles import ProblemBundle
 from sekit.core import Dist, Domain, entropy, entropy_grad
 from sekit.divergence import (CE, DivergenceFn, JS, KL, divergence,
-                              divergence_grad_q, influence_function, pfd_step,
-                              w1)
+                              divergence_grad_q, influence_function, w1)
 from sekit.experience import Atom, Dataset, Not, Or, StrongAnd, f_data_augmented, raml_kernel
 from sekit.mdp import TabularMDP
 from sekit.models import (ConditionalSoftmaxModel, SoftmaxModel,
@@ -202,7 +201,7 @@ def test_11_influence_functions_and_pfd():
     steps_used = 500
     for step in range(500):
         psi = influence_function("kl", p_d, cur, tol=1e-8)
-        cur = pfd_step(cur, psi.psi, 1.0)
+        cur = teacher_closed_form(cur, -psi.psi, 1.0, 1.0)  # one PFD step
         if cur.tv(p_d) <= 1e-6:
             steps_used = step + 1
             break

@@ -112,6 +112,17 @@ class TestRun:
         assert trace["converged"] is False
         assert code == 2
 
+    def test_negative_alpha_exits_one(self, tmp_path, capsys):
+        cfg = {"recipe": "unified-em", "seed": 0,
+               "params": {"alpha": -1.0, "iters": 5},
+               "problem": os.path.abspath(os.path.join(CONFIG_DIR, "mixture.json"))}
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tmp_path / "run.json"),
+                     "--out", str(out)]) == 1
+        assert "alpha" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_relative_problem_flag_resolves_against_cwd(self, workspace,
                                                         monkeypatch):
         # the config's own "problem" key stays relative to the config file

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sekit.core import BoundaryPoint, Dist, entropy
+from sekit.core import BoundaryPoint, Dist, entropy, normalize_log
 from sekit.divergence import (CE, DivergenceFn, JS, KL, NonConvergence,
                               SupportViolation, cross_entropy, divergence,
                               divergence_grad_q, influence_function, js, kl,
-                              pfd_step, w1)
+                              w1)
 from sekit.oracles import brute_force_w1
+from sekit.solver import teacher_closed_form
 
 positive = arrays(np.float64, 6, elements=st.floats(0.05, 1.0))
 
@@ -162,19 +163,34 @@ class TestInfluence:
             influence_function("kl", p_d, q)
 
     def test_pfd_descends_kl(self, rng):
+        # a PFD step q exp(-psi) / Z is the teacher at alpha = beta = 1
         p_d = mk(rng.random(10) + 0.1)
         cur = mk(rng.random(10) + 0.1)
         prev = kl(cur, p_d)
         for _ in range(10):
             psi = influence_function("kl", p_d, cur, tol=1e-8)
-            cur = pfd_step(cur, psi.psi, 1.0)
+            cur = teacher_closed_form(cur, -psi.psi, 1.0, 1.0)
             val = kl(cur, p_d)
             assert val <= prev + 1e-10
             prev = val
         assert cur.tv(p_d) <= 1e-6
 
-    def test_pfd_bad_step(self, rng):
-        q = mk(rng.random(4) + 0.1)
-        psi = influence_function("ce", q, q)
-        with pytest.raises(ValueError):
-            pfd_step(q, psi.psi, 0.0)
+    def test_pfd_is_the_teacher_bit_for_bit(self):
+        # the PFD step the GAN loop took before it went through the teacher,
+        # kept here as the reference
+        def reference(q, psi, eta):
+            return normalize_log(q.logp - eta * psi)
+
+        g = np.random.default_rng(53)
+        for i in range(1000):
+            n = int(g.integers(1, 16))
+            logp = g.normal(size=n) * [1.0, 30.0][i % 2]
+            logp[g.random(n) < 0.3] = -np.inf
+            logp[g.integers(n)] = 0.0  # keep one point of mass
+            q = normalize_log(logp)
+            psi = g.normal(size=n) * [1e-3, 1.0, 50.0][i % 3]
+            eta = float(g.choice([0.5, 1.0, 1e-6, 1e4])) * g.random()
+            got = teacher_closed_form(q, -eta * psi, 1.0, 1.0)
+            want = reference(q, psi, eta)
+            assert np.array_equal(got.logp.view(np.int64), want.logp.view(np.int64))
+            assert np.array_equal(got.p.view(np.int64), want.p.view(np.int64))

@@ -119,12 +119,50 @@ class TestActive:
     def test_f_active_structure(self):
         pool = Dataset(Domain.of_size(3, "x"), np.array([1.0, 1.0, 2.0]))
         prod = Domain.product(("x0", "x1", "x2"), ("y0", "y1"))
-        f = f_active(pool, lambda x: x % 2, np.array([0.3, 0.1, 0.2]), 1.5, prod)
+        f = f_active(pool, np.array([0, 1, 0]), np.array([0.3, 0.1, 0.2]), 1.5,
+                     prod)
         v = f.values()
-        # only (x, oracle(x)) cells are finite
+        # only (x, label(x)) cells are finite
         finite = ~np.isneginf(v)
         assert list(np.where(finite)[0]) == [prod.pair(0, 0), prod.pair(1, 1),
                                              prod.pair(2, 0)]
+
+    def test_f_active_matches_the_loop_bit_for_bit(self):
+        # the per-point loop the scatter replaced, kept here as the reference
+        def reference(pool, labels, u, lam, prod):
+            ny = prod.factor_sizes[1]
+            joint = np.zeros(prod.size)
+            for x, m in enumerate(pool.counts):
+                if m:
+                    joint[prod.pair(x, int(labels[x]))] += m / pool.n_data
+            with np.errstate(divide="ignore"):
+                return np.log(joint) + np.repeat(lam * u, ny)
+
+        g = np.random.default_rng(7)
+        for _ in range(50):
+            nx, ny = int(g.integers(1, 30)), int(g.integers(1, 6))
+            counts = g.integers(0, 9, nx).astype(float)
+            counts[g.integers(nx)] += 1.0
+            pool = Dataset(Domain.of_size(nx, "x"), counts)
+            prod = Domain.product(pool.domain.labels,
+                                  tuple(f"y{j}" for j in range(ny)))
+            labels, u = g.integers(0, ny, nx), g.normal(size=nx)
+            lam = float(g.uniform(0.1, 3.0))
+            got = f_active(pool, labels, u, lam, prod).values()
+            want = reference(pool, labels, u, lam, prod)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_f_active_checks_only_observed_labels(self):
+        pool = Dataset(Domain.of_size(4, "x"), np.array([2.0, 0.0, 1.0, 0.0]))
+        prod = Domain.product(("x0", "x1", "x2", "x3"), ("y0", "y1"))
+        u = np.zeros(4)
+        for bad in (-1, 2, 99):
+            with pytest.raises(DomainMismatch, match=f"label {bad} "):
+                f_active(pool, np.array([0, 1, bad, 1]), u, 1.0, prod)
+        # x1 and x3 are unobserved: their labels are never read
+        v = f_active(pool, np.array([1, -7, 0, 99]), u, 1.0, prod).values()
+        assert list(np.flatnonzero(~np.isneginf(v))) == [prod.pair(0, 1),
+                                                          prod.pair(2, 0)]
 
 
 class TestSoftLogic:

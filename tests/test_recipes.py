@@ -80,12 +80,18 @@ class TestValidation:
         assert issubclass(IncompatiblePair, ValueError)
 
     @pytest.mark.parametrize("name", ["disc_steps", "disc_step_size",
-                                      "model_step_size"])
+                                      "model_step_size", "clip"])
     @pytest.mark.parametrize("recipe", ["vanilla-gan", "wgan", "ppo-gan"])
     def test_gan_takes_no_step_parameters(self, gan_target, recipe, name):
         # adversarial_run's own values are the only ones a recipe runs
         with pytest.raises(IncompatiblePair, match=f"no parameter '{name}'"):
             run_recipe(recipe, ProblemBundle(p_data=gan_target), 1, **{name: 1.0})
+
+    def test_negative_alpha_raises(self, mixture_bundle):
+        # at alpha < 0 the teacher would anti-tilt: EM must not run with it
+        for alpha in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                run_recipe("unified-em", mixture_bundle, 0, alpha=alpha, iters=5)
 
     def test_incompatible_pair(self, toy_dataset):
         b = ProblemBundle(dataset=toy_dataset)

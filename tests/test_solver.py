@@ -20,8 +20,12 @@ def mk(raw):
 
 class TestSEConfig:
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            SEConfig(beta=-0.1)
+        for beta in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="beta"):
+                SEConfig(beta=beta)
+        for alpha in (-1.0, -1e-300, np.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                SEConfig(alpha=alpha)
         with pytest.raises(ValueError):
             SEConfig(q_decomposition="fixed_x_marginals")
 
@@ -50,11 +54,12 @@ class TestClosedFormTeacher:
         # scores for indices 1 and 2 tie; lowest index wins
         assert q.p[1] == 1.0
 
-    def test_all_neg_inf(self):
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_all_neg_inf(self, alpha):
         p = Dist.from_probs(np.array([1.0, 0.0]))
         f = np.array([-np.inf, 0.0])
         with pytest.raises(AllNegInfinity):
-            teacher_closed_form(p, f, 1.0, 1.0)
+            teacher_closed_form(p, f, alpha, 1.0)
 
     def test_tilt_matches_the_select_form_bit_for_bit(self):
         # the expression _tilt_scores replaced, kept here as the reference
@@ -83,12 +88,20 @@ class TestClosedFormTeacher:
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_negative_or_nan_alpha_raises(self):
+        # a negative alpha would turn the tilt into an anti-tilt
+        p = mk(np.array([0.2, 0.5, 0.3]))
+        for alpha in (-1.0, -1e-300, np.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                teacher_closed_form(p, np.zeros(3), alpha, 1.0)
+
     def test_negative_beta_raises(self):
         # SEConfig rejects beta < 0; the teacher must not quietly tilt by it,
         # on the interior or where the model has a hard zero
         for p in (mk(np.array([0.2, 0.5, 0.3])), mk(np.array([0.5, 0.5, 0.0]))):
-            with pytest.raises(ValueError, match="beta"):
-                teacher_closed_form(p, np.zeros(3), 1.0, -0.5)
+            for beta in (-0.5, np.nan):
+                with pytest.raises(ValueError, match="beta"):
+                    teacher_closed_form(p, np.zeros(3), 1.0, beta)
 
     def test_minimizes_objective(self, rng):
         # the closed form beats every point on a dense simplex grid

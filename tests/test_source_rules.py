@@ -4,9 +4,10 @@ no `SEConfig` field that nothing reads, no import that nothing uses, no
 engine definition that only tests reach, no engine import in the oracles, no
 `scipy.special` in the engine, no `scipy.sparse` anywhere in sekit (its
 import alone raises every run's peak memory and set-up time; the MDP kernels
-read P's sparse view as plain numpy arrays), and one linear-solve path:
+read P's sparse view as plain numpy arrays), one linear-solve path:
 `scipy.linalg` in `mdp.py` only and no `np.linalg.solve` or `np.linalg.inv`
-outside the oracles."""
+outside the oracles, and one tilt: `normalize_log` is called only by `core`
+and `solver`, so every other exponential tilt goes through the teacher."""
 import ast
 import dataclasses
 from pathlib import Path
@@ -198,3 +199,29 @@ def test_every_engine_definition_has_a_caller():
             if all(p == path and id(n) in own for p, n in named.get(name, [])):
                 unreached.append(f"{path.name}:{node.lineno}: {name}")
     assert unreached == []
+
+
+# Tilts outside the teacher, each tied to the ROADMAP item that removes it.
+_OWN_TILTS = {
+    "divergence._h_star_kl": "item 18 deletes the iterative influence ascent",
+}
+
+
+def _normalize_log_calls(path):
+    # (enclosing top-level definition, line) of each normalize_log call
+    for top in _parse(path).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "normalize_log"
+                    or getattr(node.func, "attr", None) == "normalize_log"):
+                yield f"{path.stem}.{getattr(top, 'name', '?')}", node.lineno
+
+
+def test_tilts_go_through_the_teacher():
+    # q proportional to p e^f is teacher_closed_form(p, f, 1, 1); a private
+    # normalize_log(logp + f) elsewhere is a second copy of the teacher
+    calls = [f"{name}:{line}" for path in MODULES
+             if path.name not in ("core.py", "solver.py")
+             for name, line in _normalize_log_calls(path)
+             if name not in _OWN_TILTS]
+    assert calls == []
