@@ -149,6 +149,17 @@ class Dist:
         else:
             raise AttributeError("Dist is immutable")
 
+    @classmethod
+    def _unchecked(cls, logp: np.ndarray, p: np.ndarray) -> "Dist":
+        """Wrap arrays that the caller has just built, owns and has checked,
+        as they are: no copy and no validation scan.  Only `core` calls it."""
+        logp.flags.writeable = False
+        p.flags.writeable = False
+        dist = object.__new__(cls)
+        dist.logp = logp
+        dist.p = p
+        return dist
+
     @property
     def size(self) -> int:
         return self.p.shape[0]
@@ -184,8 +195,15 @@ class Dist:
 
 
 def normalize_log(scores) -> Dist:
-    """Normalize extended-real scores into a Dist via max-shifted log-sum-exp."""
+    """Normalize extended-real scores into a Dist via max-shifted log-sum-exp.
+
+    The max check is the whole validation of the output: past it the scores
+    hold no nan and no +inf, so logp = shifted - logsumexp(shifted) is in
+    [-inf, 0] and p = exp(logp) is in [0, 1]; only the sum is checked again.
+    """
     scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 1:
+        raise ValueError("scores must be a vector")
     # one reduction guards all three cases: nan propagates through it, and
     # an empty or all -inf vector leaves the initial -inf
     top = np.maximum.reduce(scores, axis=None, initial=-np.inf)
@@ -193,8 +211,13 @@ def normalize_log(scores) -> Dist:
         raise AllNegInfinity("all scores are -inf")
     if not top < np.inf:
         raise ValueError("scores must be in [-inf, finite]")
-    shifted = scores - top  # explicit shift: exact at any magnitude
-    return Dist(shifted - logsumexp(shifted))
+    logp = scores - top  # explicit shift: exact at any magnitude
+    logp -= logsumexp(logp)
+    p = np.exp(logp)
+    total = p.sum()
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    return Dist._unchecked(logp, p)
 
 
 def entropy(q: Dist) -> float:

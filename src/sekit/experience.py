@@ -132,7 +132,7 @@ def f_data_self(dataset: Dataset, split: Callable[[int], Tuple[int, int]],
         x, y = split(t)
         if not (0 <= x < nx and 0 <= y < ny):
             raise SplitOutOfRange(f"split({t}) = ({x}, {y}) outside {nx}x{ny}")
-        pair_counts[product_domain.pair(x, y)] += m
+        pair_counts[x * ny + y] += m  # product_domain.pair, range checked above
     return ExperienceFn.from_vector(product_domain,
                                     safe_log(pair_counts / dataset.n_data),
                                     name="data-self")

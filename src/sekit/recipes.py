@@ -401,9 +401,9 @@ def _check_augmentation(bundle, tol, seed):
     # enumeration oracle: q(t) = sum_{t*} emp(t*) exp(R[t*,t]) / Z_{t*}
     emp = bundle.dataset.counts / bundle.dataset.counts.sum()
     R = bundle.payoff
-    expR = np.exp(R - R.max(axis=1, keepdims=True))
-    rows = expR / expR.sum(axis=1, keepdims=True)
-    target = emp @ rows
+    expR = R - R.max(axis=1, keepdims=True)
+    np.exp(expR, out=expR)
+    target = (emp / expR.sum(axis=1)) @ expR  # 1/Z_{t*} folded into the weights
     target = target / target.sum()
     q0 = res.extras["first_teacher"]
     dev = float(np.max(np.abs(q0.p - target)))

@@ -10,7 +10,7 @@ loop, and the dynamic schedule that interpolates between configurations.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,10 +49,10 @@ class SEConfig:
     objective_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0")
-        if not self.beta >= 0:
-            raise ValueError("beta must be >= 0")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and >= 0")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError("beta must be finite and >= 0")
         if self.q_decomposition not in ("none", "fixed_x_marginal"):
             raise ValueError(f"unknown q_decomposition {self.q_decomposition!r}")
 
@@ -116,10 +116,13 @@ class Trace:
 # ---------------------------------------------------------------------------
 
 def _tilt_scores(logp: np.ndarray, f_vals: np.ndarray, beta: float) -> np.ndarray:
-    """beta * log p + f for beta >= 0 (0 kills the model term); -inf absorbs."""
-    if not beta >= 0:
-        raise ValueError("beta must be >= 0")
-    return f_vals + 0.0 if beta == 0 else beta * logp + f_vals
+    """beta * log p + f for finite beta >= 0 (0 kills the model term); -inf
+    absorbs.  At beta = 1 the product is skipped: 1 * x is x bit for bit."""
+    if not 0 <= beta < np.inf:
+        raise ValueError("beta must be finite and >= 0")
+    if beta == 0:
+        return f_vals + 0.0
+    return (logp if beta == 1 else beta * logp) + f_vals
 
 
 def teacher_closed_form(p_theta: Dist, f_vals: np.ndarray, alpha: float,
@@ -127,10 +130,11 @@ def teacher_closed_form(p_theta: Dist, f_vals: np.ndarray, alpha: float,
     """q(t) proportional to exp{(beta log p_theta(t) + f(t)) / alpha}, alpha, beta >= 0.
 
     alpha = 0 takes the zero-temperature limit: a point mass on the argmax of
-    beta log p_theta + f, ties broken by lowest index.
+    beta log p_theta + f, ties broken by lowest index.  alpha and beta are
+    finite; at alpha = 1 the division is skipped, which changes no bit.
     """
-    if not alpha >= 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and >= 0")
     f_vals = np.asarray(f_vals, dtype=float)
     scores = _tilt_scores(p_theta.logp, f_vals, beta)
     if alpha == 0:
@@ -138,7 +142,9 @@ def teacher_closed_form(p_theta: Dist, f_vals: np.ndarray, alpha: float,
             raise AllNegInfinity("teacher scores are all -inf")
         best = int(np.argmax(scores))  # argmax takes the first maximizer
         return Dist.point_mass(p_theta.size, best)
-    return normalize_log(scores / alpha)  # raises AllNegInfinity itself
+    if alpha != 1:
+        scores = scores / alpha
+    return normalize_log(scores)  # raises AllNegInfinity itself
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +204,8 @@ def _decomposed_teacher(config: SEConfig, model: Model, f_vals: np.ndarray,
         top = (np.arange(rows.size), np.argmax(scores, axis=1))  # first maximizer
         log_z = scores[top]
     else:
-        scores = scores / config.alpha
+        if config.alpha != 1:
+            scores = scores / config.alpha
         log_z = logsumexp(scores, axis=1)
     dead = np.flatnonzero(log_z == -np.inf)
     if dead.size:
@@ -244,6 +251,13 @@ def _step(config: SEConfig, model: Model, domain: Domain,
     return model, q, total
 
 
+def _same_parameters(old: Model, new: Model) -> bool:
+    """Whether every parameter array of `new` equals `old`'s bit for bit."""
+    return all(np.array_equal(getattr(old, f.name).view(np.uint64),
+                              getattr(new, f.name).view(np.uint64))
+               for f in fields(old) if f.name != "domain")
+
+
 def run(config: SEConfig, model: Model, domain: Domain,
         p_x: Optional[np.ndarray] = None,
         reference: Optional[Dist] = None,
@@ -252,15 +266,23 @@ def run(config: SEConfig, model: Model, domain: Domain,
 
     Theta-dependent experience is re-evaluated every teacher step.  Stops at
     max_iters or when |delta objective| < objective_tol for 5 consecutive
-    iterations.
+    iterations.  With objective_tol > 0 it also stops, converged, at the
+    exact fixed point: a student step that returns the parameters it started
+    from, bit for bit.  A step is a function of the model alone, so every
+    later step would repeat that one, and the final model is the same.
+    Runs with objective_tol = 0 keep their full iteration count.
     """
     trace = Trace()
     prev_obj = None
     quiet = 0
     for n in range(1, config.max_iters + 1):
+        start = model
         model, q, total = _step(config, model, domain, p_x, reference, trace, n)
         if callback is not None:
             callback(n, q, model)
+        if config.objective_tol > 0 and _same_parameters(start, model):
+            trace.converged = True
+            return model, trace
         if prev_obj is not None and np.isfinite(total) and np.isfinite(prev_obj) \
                 and abs(total - prev_obj) < config.objective_tol:
             quiet += 1

@@ -122,6 +122,35 @@ class TestNormalizeLog:
         b = normalize_log(scores + c)
         assert np.max(np.abs(a.p - b.p)) <= 1e-12
 
+    def test_non_vector_rejected(self):
+        for scores in (np.zeros((2, 3)), np.full((2, 2), -np.inf), np.float64(0.0)):
+            with pytest.raises(ValueError, match="vector"):
+                normalize_log(scores)
+
+    def test_arrays_are_read_only_and_not_the_input(self):
+        scores = np.array([0.5, -np.inf, 2.0])
+        d = normalize_log(scores)
+        for a in (d.logp, d.p):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        scores[0] = 9.0  # the caller's array is not the Dist's
+        assert d.logp[0] < d.logp[2]
+
+    @given(arrays(np.float64, st.integers(1, 12),
+                  elements=st.one_of(st.floats(-700, 700), st.just(-np.inf))))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_validated_dist_bit_for_bit(self, scores):
+        # the validating constructor on the same arithmetic is the reference
+        if np.all(np.isneginf(scores)):
+            with pytest.raises(AllNegInfinity):
+                normalize_log(scores)
+            return
+        shifted = scores - np.max(scores)
+        want = Dist(shifted - logsumexp(shifted))
+        got = normalize_log(scores)
+        for g, w in ((got.logp, want.logp), (got.p, want.p)):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
 
 def _lse_inputs():
     """Seeded draws with -inf entries, ties at the max, all -inf slices, a

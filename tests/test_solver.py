@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sekit.core import AllNegInfinity, Dist, Domain
+from sekit.core import AllNegInfinity, Dist, Domain, normalize_log
+from sekit.experience import ExperienceFn
 from sekit.models import (ConditionalSoftmaxModel, MixtureModel, SoftmaxModel,
                           exact_fit, fit_to)
-from sekit.solver import (PlanGap, SEConfig, Segment, _decomposed_teacher,
-                          _tilt_scores, mw_update, run, schedule, student_step,
-                          teacher_closed_form)
+from sekit.solver import (PlanGap, SEConfig, Segment, Trace,
+                          _decomposed_teacher, _step, _tilt_scores, mw_update,
+                          run, schedule, student_step, teacher_closed_form)
 
 
 def mk(raw):
@@ -20,10 +21,10 @@ def mk(raw):
 
 class TestSEConfig:
     def test_mode_validation(self):
-        for beta in (-0.1, np.nan):
+        for beta in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match="beta"):
                 SEConfig(beta=beta)
-        for alpha in (-1.0, -1e-300, np.nan):
+        for alpha in (-1.0, -1e-300, np.nan, np.inf):
             with pytest.raises(ValueError, match="alpha"):
                 SEConfig(alpha=alpha)
         with pytest.raises(ValueError):
@@ -94,6 +95,33 @@ class TestClosedFormTeacher:
         for alpha in (-1.0, -1e-300, np.nan):
             with pytest.raises(ValueError, match="alpha"):
                 teacher_closed_form(p, np.zeros(3), alpha, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_alpha_or_beta_raises_on_a_hard_zero(self):
+        # -inf / inf would be nan: the teacher names the weight instead
+        p = mk(np.array([0.5, 0.5, 0.0]))
+        with pytest.raises(ValueError, match="alpha"):
+            teacher_closed_form(p, np.zeros(3), np.inf, 1.0)
+        with pytest.raises(ValueError, match="beta"):
+            teacher_closed_form(p, np.zeros(3), 1.0, np.inf)
+        with pytest.raises(ValueError, match="beta"):
+            _tilt_scores(p.logp, np.zeros(3), np.inf)
+
+    def test_unit_weights_change_no_bit(self):
+        # at alpha = beta = 1 the teacher skips 1 * log p and / 1
+        g = np.random.default_rng(154)
+        for _ in range(200):
+            raw = g.random(9)
+            raw[g.random(9) < 0.3] = 0.0
+            raw[0] += 0.1
+            p = mk(raw)
+            f = g.normal(size=9) * 30.0
+            f[g.random(9) < 0.2] = -np.inf
+            f[0] = 0.0
+            got = teacher_closed_form(p, f, 1.0, 1.0)
+            want = normalize_log((1.0 * p.logp + f) / 1.0)
+            for a, b in ((got.logp, want.logp), (got.p, want.p)):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_negative_beta_raises(self):
         # SEConfig rejects beta < 0; the teacher must not quietly tilt by it,
@@ -305,6 +333,40 @@ class TestRunAndTrace:
         _, trace = run(cfg, SoftmaxModel.zeros(fn.domain), fn.domain)
         assert trace.converged
         assert len(trace.records) < 100
+
+    def test_stops_at_the_exact_fixed_point(self, toy_dataset):
+        from sekit.experience import f_data
+        fn = f_data(toy_dataset)
+        cfg = SEConfig(beta=1e-8, experience=fn, max_iters=50)
+        model, trace = run(cfg, SoftmaxModel.zeros(fn.domain), fn.domain)
+        # sooner than five quiet objectives after the first could stop it
+        assert trace.converged and len(trace.records) < 6
+        again, _, _ = _step(cfg, model, fn.domain, None, None, Trace(), 0)
+        assert np.array_equal(again.theta.view(np.uint64),
+                              model.theta.view(np.uint64))
+
+    def test_zero_objective_tol_keeps_the_full_count(self, toy_dataset):
+        from sekit.experience import f_data
+        fn = f_data(toy_dataset)
+        cfg = SEConfig(beta=1e-8, experience=fn, max_iters=9, objective_tol=0.0)
+        _, trace = run(cfg, SoftmaxModel.zeros(fn.domain), fn.domain)
+        assert not trace.converged and len(trace.records) == 9
+
+    def test_repeated_teacher_with_a_moving_model_does_not_stop(self, rng):
+        # at beta = 0 q ignores the model, so every teacher is the same bits,
+        # while fit_to's gradient steps still move theta toward it
+        dom = Domain.product(("a", "b", "c"), ("u", "v"))
+        fn = ExperienceFn.from_vector(dom, rng.normal(size=6))
+        cfg = SEConfig(beta=0.0, experience=fn, max_iters=50)
+        seen = []
+        model = ConditionalSoftmaxModel(np.zeros((3, 2)), dom)
+        _, trace = run(cfg, model, dom, p_x=np.full(3, 1 / 3),
+                       callback=lambda n, q, m: seen.append((q, m)))
+        assert len(trace.records) == 6  # the objective rule, not a fixed point
+        first = seen[0][0].logp.view(np.uint64)
+        assert all(np.array_equal(q.logp.view(np.uint64), first) for q, _ in seen)
+        thetas = [m.theta for _, m in seen]
+        assert all(not np.array_equal(a, b) for a, b in zip(thetas, thetas[1:]))
 
 
 class TestMW:

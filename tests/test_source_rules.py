@@ -6,8 +6,9 @@ engine definition that only tests reach, no engine import in the oracles, no
 import alone raises every run's peak memory and set-up time; the MDP kernels
 read P's sparse view as plain numpy arrays), one linear-solve path:
 `scipy.linalg` in `mdp.py` only and no `np.linalg.solve` or `np.linalg.inv`
-outside the oracles, and one tilt: `normalize_log` is called only by `core`
-and `solver`, so every other exponential tilt goes through the teacher."""
+outside the oracles, one tilt: `normalize_log` is called only by `core`
+and `solver`, so every other exponential tilt goes through the teacher, and
+one unvalidated `Dist`: only `core` builds a `Dist` that skips validation."""
 import ast
 import dataclasses
 from pathlib import Path
@@ -225,3 +226,14 @@ def test_tilts_go_through_the_teacher():
              for name, line in _normalize_log_calls(path)
              if name not in _OWN_TILTS]
     assert calls == []
+
+
+def test_only_core_builds_an_unvalidated_dist():
+    # Dist._unchecked trusts arrays its caller just made and checked; any
+    # other module builds a Dist through the validating constructor
+    bad = [f"{path.name}:{node.lineno}: {node.attr}" for path in MODULES
+           if path.name != "core.py"
+           for node in ast.walk(_parse(path))
+           if isinstance(node, ast.Attribute)
+           and node.attr in ("_unchecked", "__new__")]
+    assert bad == []
