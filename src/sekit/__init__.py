@@ -12,7 +12,8 @@ from .divergence import CE, JS, KL, DivergenceFn, divergence, influence_function
 from .experience import Dataset, ExperienceFn, combine, f_data, f_rule, parse_rule
 from .models import ConditionalSoftmaxModel, MixtureModel, SoftmaxModel
 from .mdp import TabularMDP, exact_policy_gradient, q_function, visitation
-from .solver import SEConfig, Segment, Trace, mw_update, run, schedule, teacher_closed_form
+from .solver import (SEConfig, Segment, Trace, mw_trajectory, mw_update, run,
+                     schedule, teacher_closed_form)
 from .adversarial import Discriminator, adversarial_run
 from .recipes import Recipe, check_equivalence, get_recipe, registry, run_recipe
 from .bundles import ProblemBundle, load_bundle
@@ -25,7 +26,7 @@ __all__ = [
     "Dataset", "ExperienceFn", "combine", "f_data", "f_rule", "parse_rule",
     "ConditionalSoftmaxModel", "MixtureModel", "SoftmaxModel",
     "TabularMDP", "exact_policy_gradient", "q_function", "visitation",
-    "SEConfig", "Segment", "Trace", "mw_update", "run", "schedule",
+    "SEConfig", "Segment", "Trace", "mw_trajectory", "mw_update", "run", "schedule",
     "teacher_closed_form", "Discriminator", "adversarial_run", "Recipe",
     "check_equivalence", "get_recipe", "registry", "run_recipe",
     "ProblemBundle", "load_bundle", "__version__",

@@ -19,8 +19,7 @@ import numpy as np
 from .bundles import BundleError, load_bundle
 from .divergence import NonConvergence
 from .models import ConditionalSoftmaxModel, MixtureModel, SoftmaxModel
-from .recipes import (IncompatiblePair, NotFound, check_equivalence,
-                      get_recipe, run_recipe)
+from .recipes import NotFound, check_equivalence, get_recipe, run_recipe
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,7 +192,7 @@ def cmd_check(args) -> int:
     try:
         report = check_equivalence(args.recipe, oracle, bundle, args.tol,
                                    seed=seed)
-    except (IncompatiblePair, BundleError) as exc:
+    except ValueError as exc:  # a bad pair, bundle or recipe input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergence as exc:

@@ -131,10 +131,11 @@ class Dist:
         if np.isnan(logp).any() or (logp == np.inf).any():
             raise ValueError("logp entries must be in [-inf, finite]")
         p = np.exp(logp) if _p is None else np.asarray(_p, dtype=float)
-        if (p < 0).any():
-            raise ValueError("negative probability")
+        # both tests are written so that a nan fails them
+        if not (p >= 0).all():
+            raise ValueError("probabilities must be finite and >= 0")
         total = p.sum()
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         logp = logp.copy()
         p = p.copy()

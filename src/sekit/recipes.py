@@ -31,7 +31,7 @@ from .mdp import (exact_policy_gradient, f_reward, q_function,
                   reward_and_visitation)
 from .models import (ConditionalSoftmaxModel, MixtureModel, SoftmaxModel,
                      grad_expected_log_prob)
-from .solver import (DEFAULT_EPSILON, SEConfig, Segment, Trace, mw_update,
+from .solver import (DEFAULT_EPSILON, SEConfig, Segment, Trace, mw_trajectory,
                      run, schedule, teacher_closed_form)
 
 
@@ -279,18 +279,17 @@ def _run_gan(recipe, config, bundle, seed, iters=5000, tol=1e-3) -> RecipeResult
 
 def _run_mw(config, bundle, seed, alpha=None) -> RecipeResult:
     rows = bundle.rewards
+    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 2:
+        raise ValueError("rewards must be a (T, K) table with T >= 1 rounds "
+                         f"and K >= 2 experts, got shape {rows.shape}")
     T, K = rows.shape
     if alpha is None:
         alpha = float(np.sqrt(T / (2.0 * np.log(K))))
-    p = Dist.uniform(K)
-    history = []
-    for r in rows:
-        p = mw_update(p, r, alpha)
-        history.append(p.p.copy())
+    logp = mw_trajectory(Dist.uniform(K), rows, alpha)
     trace = Trace()
     trace.diagnostics["alpha"] = alpha
-    return RecipeResult(None, trace, p, extras={"history": history,
-                                                "alpha": alpha})
+    return RecipeResult(None, trace, Dist(logp[-1]),
+                        extras={"history": list(np.exp(logp)), "alpha": alpha})
 
 
 def _run_interpolation(config, bundle, seed, iters_per_stage=10) -> RecipeResult:
@@ -555,9 +554,9 @@ def _check_mw(bundle, tol, seed):
     _, oracle_hist = oracles.hedge(np.full(bundle.rewards.shape[1],
                                            1.0 / bundle.rewards.shape[1]),
                                    bundle.rewards, res.extras["alpha"])
-    worst = 0.0
-    for mine, theirs in zip(res.extras["history"], oracle_hist):
-        worst = max(worst, float(np.max(np.abs(mine - theirs))))
+    mine, theirs = np.array(res.extras["history"]), np.array(oracle_hist)
+    worst = (float(np.max(np.abs(mine - theirs)))
+             if mine.shape == theirs.shape else np.inf)
     return worst, {"rounds": len(oracle_hist), "alpha": res.extras["alpha"]}
 
 
@@ -650,8 +649,9 @@ _RECIPES: Dict[str, Recipe] = {r.name: r for r in [
            ("p_data",), _GAN, "fixed-point", partial(_run_gan, "ppo_gan"),
            {"reweighted-identity": _check_ppo_gan}),
     Recipe("multiplicative-weights",
-           "Online expert weighting p <- p exp(reward/alpha)/Z; identical "
-           "to Hedge.",
+           "Online expert weighting p <- p exp(reward/alpha)/Z, all rounds "
+           "in one log-space pass over cumulative rewards; checked against "
+           "a round-by-round Hedge.",
            ("rewards",), _UNIT, "trajectory", _run_mw, {"hedge": _check_mw},
            fixed_iters=True),
     Recipe("interpolation-schedule",

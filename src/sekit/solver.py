@@ -4,8 +4,9 @@
 
 with the closed-form teacher (and its per-x form for a fixed x marginal), the
 student that the model family fixes (the exact fit of a softmax or mixture,
-gradient steps on a conditional model), the multiplicative-weights online
-loop, and the dynamic schedule that interpolates between configurations.
+gradient steps on a conditional model), the multiplicative-weights
+trajectory over all rounds in one log-space pass, and the dynamic schedule
+that interpolates between configurations.
 """
 from __future__ import annotations
 
@@ -300,15 +301,31 @@ def run(config: SEConfig, model: Model, domain: Domain,
 # Online multiplicative weights
 # ---------------------------------------------------------------------------
 
-def mw_update(weights: Dist, rewards: np.ndarray, alpha: float) -> Dist:
-    """p(t) <- p(t) exp{f(t) / alpha} / Z: the multiplicative-weights rule."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+def mw_trajectory(initial: Dist, rewards: np.ndarray, alpha: float) -> np.ndarray:
+    """The (T, K) log-weights of multiplicative weights after each round.
+
+    Row t is log p_t with p_t(k) proportional to
+    initial(k) exp{sum_{s <= t} rewards[s, k] / alpha}: Hedge's weights in
+    closed form (follow-the-regularised-leader with an entropy regulariser),
+    one cumulative sum and one row-wise log-sum-exp for all T rounds.  From a
+    uniform start each row is the closed-form teacher at beta = 0 with f the
+    cumulative reward.  alpha is finite and > 0; rewards are finite.
+    """
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be finite and > 0")
     rewards = np.asarray(rewards, dtype=float)
-    if not np.all(np.isfinite(rewards)):
+    if rewards.ndim != 2 or rewards.shape[1] != initial.size:
+        raise ValueError(f"rewards must be a (T, {initial.size}) array, "
+                         f"got shape {rewards.shape}")
+    if not np.isfinite(rewards).all():
         raise ValueError("rewards must be finite")
-    p = weights.p * np.exp(rewards / alpha)
-    return Dist.from_probs(p / np.sum(p))
+    scores = initial.logp + np.cumsum(rewards, axis=0) / alpha
+    return scores - logsumexp(scores, axis=1, keepdims=True)
+
+
+def mw_update(weights: Dist, rewards: np.ndarray, alpha: float) -> Dist:
+    """p(t) <- p(t) exp{f(t) / alpha} / Z: one round of `mw_trajectory`."""
+    return Dist(mw_trajectory(weights, np.asarray(rewards)[None], alpha)[0])
 
 
 # ---------------------------------------------------------------------------

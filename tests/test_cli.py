@@ -123,6 +123,27 @@ class TestRun:
         assert "alpha" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rewards, override, word", [
+        ([[0.5]] * 3, None, "rewards"),  # K = 1
+        ([], None, "rewards"),  # T = 0
+        ([[0.1, 0.9]] * 3, "params.alpha=NaN", "alpha"),
+        ([[0.1, 0.9]] * 3, "params.alpha=Infinity", "alpha"),
+        ([[0.1, 0.9]] * 3, "params.alpha=0", "alpha"),
+    ])
+    def test_mw_bad_input_exits_one(self, tmp_path, capsys, rewards, override,
+                                    word):
+        (tmp_path / "experts.json").write_text(json.dumps({"rewards": rewards}))
+        cfg = {"recipe": "multiplicative-weights", "seed": 0,
+               "problem": str(tmp_path / "experts.json")}
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        argv = ["run", "--config", str(tmp_path / "run.json"),
+                "--out", str(tmp_path / "out")]
+        if override:
+            argv += ["--override", override]
+        assert main(argv) == 1
+        assert word in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_relative_problem_flag_resolves_against_cwd(self, workspace,
                                                         monkeypatch):
         # the config's own "problem" key stays relative to the config file
@@ -184,14 +205,24 @@ class TestCheck:
                      "--tol", "1e-30"])
         assert code == 3
 
-    def test_mw_trajectory_tolerance_zero(self, tmp_path):
-        rng = np.random.default_rng(0)
-        (tmp_path / "experts.json").write_text(json.dumps(
-            {"rewards": rng.random((100, 4)).tolist()}))
-        code = main(["check", "--recipe", "multiplicative-weights",
-                     "--problem", str(tmp_path / "experts.json"),
+    def test_tolerance_zero_on_a_bit_exact_contract(self, capsys):
+        # the unified EM and the hand-coded EM run the same arithmetic, so
+        # --tol 0 passes; MW's log-space engine is held to 1e-13 against
+        # the round-by-round Hedge in test_solver instead
+        code = main(["check", "--recipe", "unified-em",
+                     "--problem", os.path.join(CONFIG_DIR, "mixture.json"),
                      "--tol", "0"])
         assert code == 0
+        assert json.loads(capsys.readouterr().out)["max_deviation"] == 0.0
+
+    def test_mw_bad_rewards_exit_one(self, tmp_path, capsys):
+        (tmp_path / "experts.json").write_text(json.dumps(
+            {"rewards": [[0.5], [0.5]]}))
+        code = main(["check", "--recipe", "multiplicative-weights",
+                     "--problem", str(tmp_path / "experts.json"),
+                     "--tol", "1e-12"])
+        assert code == 1
+        assert "rewards" in capsys.readouterr().err
 
     def test_unknown_recipe_exit_one(self, workspace):
         assert main(["check", "--recipe", "alchemy",

@@ -58,6 +58,13 @@ class TestDist:
         with pytest.raises(ValueError):
             Dist.from_probs(np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize("probs", [
+        [np.nan, 1.0], [np.nan, 0.0], [1.0, np.nan], [np.nan, np.nan],
+        *([np.nan if j == i else 0.25 for j in range(5)] for i in range(5))])
+    def test_nan_rejected_at_any_position(self, probs):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            Dist.from_probs(np.array(probs))
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Dist(np.array([0.0, 0.1]))  # exp > 1 total

@@ -1,15 +1,17 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from sekit.bundles import BundleError, ProblemBundle, load_bundle
-from sekit.core import Domain
+from sekit.core import Dist, Domain
 from sekit.experience import Dataset, parse_rule
 from sekit.models import ConditionalSoftmaxModel
 from sekit.recipes import (IncompatiblePair, NotFound, Recipe, _em_deviation,
                            check_equivalence, get_recipe, registry, run_recipe)
+from sekit.solver import mw_trajectory
 
 EXPECTED_NAMES = {
     "supervised-mle", "self-supervised-mle", "unsupervised-mle",
@@ -92,6 +94,21 @@ class TestValidation:
         for alpha in (-1.0, np.nan):
             with pytest.raises(ValueError, match="alpha"):
                 run_recipe("unified-em", mixture_bundle, 0, alpha=alpha, iters=5)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 1), (4, 0), (6,),
+                                       (2, 3, 2)])
+    def test_mw_rejects_bad_reward_shapes(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rewards"):
+                run_recipe("multiplicative-weights",
+                           ProblemBundle(rewards=np.ones(shape)))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+    def test_mw_rejects_alpha_outside_zero_inf(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            run_recipe("multiplicative-weights",
+                       ProblemBundle(rewards=np.ones((3, 2))), alpha=alpha)
 
     def test_incompatible_pair(self, toy_dataset):
         b = ProblemBundle(dataset=toy_dataset)
@@ -218,6 +235,36 @@ class TestChecks:
         b = ProblemBundle(rewards=rng.random((200, 5)))
         rep = check_equivalence("multiplicative-weights", "hedge", b, 1e-12)
         assert rep["passed"], rep
+
+    def test_mw_history_is_one_trajectory_pass(self, rng):
+        # the recipe's rounds are the rows of one mw_trajectory call, bit
+        # for bit, not a round-by-round loop
+        R = rng.random((300, 5))
+        res = run_recipe("multiplicative-weights", ProblemBundle(rewards=R))
+        alpha = res.extras["alpha"]
+        logp = mw_trajectory(Dist.uniform(5), R, alpha)
+        assert isinstance(res.extras["history"], list)
+        assert np.array_equal(np.array(res.extras["history"]), np.exp(logp))
+        assert np.array_equal(res.final_dist.logp, logp[-1])
+        assert alpha == np.sqrt(300 / (2 * np.log(5)))
+
+    @pytest.mark.parametrize("cut", [slice(None, -1), slice(1, None),
+                                     slice(None, 1)])
+    def test_mw_check_fails_a_history_of_the_wrong_length(self, rng,
+                                                          monkeypatch, cut):
+        import sekit.recipes as recipes_module
+        original = recipes_module.run_recipe
+
+        def short_run(name, bundle, seed=0, **params):
+            res = original(name, bundle, seed, **params)
+            res.extras["history"] = res.extras["history"][cut]
+            return res
+
+        monkeypatch.setattr(recipes_module, "run_recipe", short_run)
+        b = ProblemBundle(rewards=rng.random((200, 5)))
+        rep = check_equivalence("multiplicative-weights", "hedge", b, 1e-12)
+        assert rep["max_deviation"] == np.inf
+        assert not rep["passed"]
 
     def test_ppo_gan_identity(self, gan_target):
         b = ProblemBundle(p_data=gan_target)

@@ -11,8 +11,9 @@ from sekit.experience import ExperienceFn
 from sekit.models import (ConditionalSoftmaxModel, MixtureModel, SoftmaxModel,
                           exact_fit, fit_to)
 from sekit.solver import (PlanGap, SEConfig, Segment, Trace,
-                          _decomposed_teacher, _step, _tilt_scores, mw_update,
-                          run, schedule, student_step, teacher_closed_form)
+                          _decomposed_teacher, _step, _tilt_scores,
+                          mw_trajectory, mw_update, run, schedule, student_step,
+                          teacher_closed_form)
 
 
 def mk(raw):
@@ -383,6 +384,68 @@ class TestMW:
             mw_update(Dist.uniform(3), np.zeros(3), 0.0)
         with pytest.raises(ValueError):
             mw_update(Dist.uniform(3), np.array([np.inf, 0, 0]), 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_alpha_outside_zero_inf_raises(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            mw_trajectory(Dist.uniform(3), np.zeros((2, 3)), alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            mw_update(Dist.uniform(3), np.zeros(3), alpha)
+
+    @pytest.mark.parametrize("rewards", [np.zeros(3), np.zeros((2, 4)),
+                                         np.zeros((2, 3, 1)),
+                                         np.array([[0.0, np.nan, 0.0]])])
+    def test_trajectory_rejects_bad_rewards(self, rewards):
+        with pytest.raises(ValueError, match="rewards"):
+            mw_trajectory(Dist.uniform(3), rewards, 1.0)
+
+    def test_trajectory_rows_are_the_teacher_at_beta_zero(self, rng):
+        # from a uniform start, Hedge's weights after round t are the
+        # closed-form teacher at beta = 0 with f the cumulative reward
+        R = rng.normal(size=(200, 6))
+        alpha = 1.7
+        logp = mw_trajectory(Dist.uniform(6), R, alpha)
+        S = np.cumsum(R, axis=0)
+        for t in range(len(R)):
+            q = teacher_closed_form(Dist.uniform(6), S[t], alpha, 0.0)
+            ulp = np.spacing(np.max(np.abs(S[t] / alpha)) + np.log(6))
+            assert np.max(np.abs(logp[t] - q.logp)) <= 4 * ulp, t
+
+    def test_update_is_the_one_row_trajectory_bit_for_bit(self, rng):
+        w = Dist.from_probs(np.array([0.5, 0.0, 0.25, 0.25, 0.0]))
+        for alpha in (0.3, 1.0, 2.0):
+            r = rng.normal(size=5)
+            out = mw_update(w, r, alpha)
+            ref = Dist(mw_trajectory(w, r[None], alpha)[0])
+            assert np.array_equal(out.logp.view(np.uint64), ref.logp.view(np.uint64))
+            assert np.array_equal(out.p.view(np.uint64), ref.p.view(np.uint64))
+            assert np.all(out.p[[1, 4]] == 0.0)
+
+    def test_deviation_from_hedge_on_unit_scale_streams(self):
+        """The log-space trajectory stays within 1e-13 of the round-by-round
+        Hedge on reward streams in [0, 1) at the recipe's alpha.
+
+        Error model: row t of the engine rounds the scores S_t / alpha once
+        and normalises once, so log p_t, and hence p_t <= 1, carries an
+        absolute error of about |S_t / alpha| * eps.  At the recipe's
+        alpha = sqrt(T / (2 ln K)) that is at most sqrt(2 T ln K) * eps,
+        about 1.4e-14 at T = 1000 and K = 8.  Hedge's product loses a
+        relative eps per round, a random walk of about sqrt(T) * eps.  The
+        1e-13 bound is tighter than every acceptance tolerance (1e-12).
+        """
+        from sekit import oracles
+        from sekit.bundles import ProblemBundle
+        from sekit.recipes import run_recipe
+        g = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(40):
+            T, K = int(g.integers(1, 1001)), int(g.integers(2, 9))
+            R = g.random((T, K))
+            res = run_recipe("multiplicative-weights", ProblemBundle(rewards=R))
+            _, hist = oracles.hedge(np.full(K, 1.0 / K), R, res.extras["alpha"])
+            worst = max(worst, float(np.max(np.abs(
+                np.array(res.extras["history"]) - np.array(hist)))))
+        assert worst <= 1e-13
 
     @given(arrays(np.float64, 5, elements=st.floats(0, 1)),
            st.floats(0.2, 5.0))
