@@ -7,7 +7,6 @@ Discriminators are tabular: one scalar parameter per domain element.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -250,15 +249,15 @@ def reweighted_discriminator_gradient(disc: Discriminator, p_data: Dist,
 
 
 def reweighted_discriminator_update(disc: Discriminator, p_data: Dist,
-                                    p_theta: Dist, steps: int = 1,
-                                    step_size: float = 1.0) -> Discriminator:
-    """Discriminator ascent where the fake side is the self-normalized
-    reweighting of model samples by e^{f_phi}, refreshed each step."""
+                                    p_theta: Dist) -> Discriminator:
+    """DISC_STEPS ascent steps of size DISC_STEP_SIZE where the fake side is
+    the self-normalized reweighting of model samples by e^{f_phi}, refreshed
+    each step."""
     phi = disc.phi.copy()
-    for _ in range(steps):
+    for _ in range(DISC_STEPS):
         cur = disc.with_phi(phi)
         grad = reweighted_discriminator_gradient(cur, p_data, p_theta)
-        cand = disc.with_phi(phi + step_size * grad)
+        cand = disc.with_phi(phi + DISC_STEP_SIZE * grad)
         phi = cand.phi.copy()
     return disc.with_phi(phi)
 
@@ -333,10 +332,8 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
     trace = Trace()
     p_theta = model.dist()
     for it in range(1, iters + 1):
-        t0 = time.perf_counter()
         if recipe == "ppo_gan":
-            disc = reweighted_discriminator_update(
-                disc, p_data, p_theta, steps=DISC_STEPS, step_size=DISC_STEP_SIZE)
+            disc = reweighted_discriminator_update(disc, p_data, p_theta)
             psi, eta = -disc.f_values(), 1.0
         elif recipe == "vanilla_gan":
             disc = discriminator_update(disc, p_data, p_theta, steps=DISC_STEPS,
@@ -355,9 +352,8 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
         p_theta = teacher_closed_form(p_theta, -eta * psi, 1.0, 1.0)
         gap = divergence(div, p_theta, p_data)
         tv = p_theta.tv(p_data)
-        ms = (time.perf_counter() - t0) * 1000.0
         trace.add(iteration=it, neg_alpha_h=0.0, beta_d=gap, neg_e_q_f=0.0,
-                  total=gap, tv_to_ref=tv, ms=ms)
+                  total=gap, tv_to_ref=tv)
         if tv <= tol:
             break
     else:

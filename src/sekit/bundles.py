@@ -1,5 +1,6 @@
 """Problem bundles: the JSON-loadable inputs a recipe runs against (datasets,
-MDPs, rules, source models, pools, expert reward streams, references)."""
+MDPs, rules, source models, pools, expert reward streams, target
+distributions)."""
 from __future__ import annotations
 
 import json
@@ -35,7 +36,6 @@ class ProblemBundle:
     utility: Optional[np.ndarray] = None
     select_lambda: float = 1.0
     rewards: Optional[np.ndarray] = None  # (T, K) expert reward stream
-    reference: Optional[Dist] = None
     p_data: Optional[Dist] = None
     coords: Optional[np.ndarray] = None
     payoff: Optional[np.ndarray] = None  # (N, N) task payoff R[t*, t]
@@ -51,9 +51,8 @@ class ProblemBundle:
 
 _KNOWN_KEYS = {
     "domain", "dataset", "product", "mdp", "rule", "source_model", "pool",
-    "oracle_labels", "utility", "select_lambda", "rewards", "reference",
-    "p_data", "coords", "payoff", "n_components", "rho", "rule_weight",
-    "extras",
+    "oracle_labels", "utility", "select_lambda", "rewards", "p_data",
+    "coords", "payoff", "n_components", "rho", "extras",
 }
 
 
@@ -126,8 +125,6 @@ def load_bundle(payload) -> ProblemBundle:
         b.select_lambda = float(payload["select_lambda"])
     if "rewards" in payload:
         b.rewards = np.asarray(payload["rewards"], dtype=float)
-    if "reference" in payload:
-        b.reference = Dist.from_probs(np.asarray(payload["reference"], dtype=float))
     if "p_data" in payload:
         b.p_data = Dist.from_probs(np.asarray(payload["p_data"], dtype=float))
         if b.domain is None:
@@ -140,8 +137,6 @@ def load_bundle(payload) -> ProblemBundle:
         b.n_components = int(payload["n_components"])
     if "rho" in payload:
         b.rho = float(payload["rho"])
-    if "rule_weight" in payload:
-        b.rule_weight = float(payload["rule_weight"])
     if "extras" in payload:
         b.extras = dict(payload["extras"])
     return b

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bundles import BundleError, load_bundle
+from .bundles import load_bundle
 from .divergence import NonConvergence
 from .models import ConditionalSoftmaxModel, MixtureModel, SoftmaxModel
 from .recipes import NotFound, check_equivalence, get_recipe, run_recipe
@@ -68,17 +68,30 @@ def _load_run_config(path: str, overrides) -> dict:
     return cfg
 
 
+def _numeric(value) -> bool:
+    """Whether `value` is a number (not a bool) or a nested list of numbers."""
+    if isinstance(value, list):
+        return all(_numeric(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate_run_config(cfg: dict) -> None:
     """Raise ConfigError (or NotFound for an unknown recipe) unless `cfg`
-    is a runnable config: known keys, a registered recipe, object params."""
+    is a runnable config: known keys, a registered recipe, and params an
+    object whose values are numbers, null or nested lists of numbers."""
     unknown = sorted(set(cfg) - _RUN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "recipe" not in cfg:
         raise ConfigError("config needs a 'recipe'")
     get_recipe(cfg["recipe"])  # raises NotFound early
-    if "params" in cfg and not isinstance(cfg["params"], dict):
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
         raise ConfigError("'params' must be an object")
+    for key, value in params.items():
+        if value is not None and not _numeric(value):
+            raise ConfigError(f"params.{key} must be a number, null or a "
+                              f"list of numbers, got {value!r}")
 
 
 def _resolve_seed(cfg: dict, flag_seed: Optional[int]) -> int:
@@ -155,49 +168,34 @@ def _write_outputs(out_dir: Path, cfg: dict, seed: int, result) -> None:
         json.dump(resolved, fh, indent=2, sort_keys=True)
 
 
-def _execute_run(cfg: dict, seed: int, bundle, out_dir: Path) -> int:
+def _execute_run(cfg: dict, seed: int, bundle, out_dir: Path):
+    """Run and write the outputs; return the exit code and the last trace
+    record's total as `trace.csv` writes it (None for an empty trace)."""
     params = dict(cfg.get("params", {}))
     result = run_recipe(cfg["recipe"], bundle, seed=seed, **params)
     _write_outputs(out_dir, cfg, seed, result)
     # for a fixed-iteration recipe, finishing the loop is success
     converged = result.trace.converged or get_recipe(cfg["recipe"]).fixed_iters
-    return EXIT_OK if converged else EXIT_PARTIAL
+    records = result.trace.records
+    final = repr(records[-1].total) if records else None
+    return (EXIT_OK if converged else EXIT_PARTIAL), final
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load_run_config(args.config, args.override)
-        seed = _resolve_seed(cfg, args.seed)
-        base = Path(args.config).resolve().parent
-        bundle = _load_problem(cfg, args.problem, base)
-        out_dir = Path(args.out if args.out is not None else cfg.get("out", "out"))
-        return _execute_run(cfg, seed, bundle, out_dir)
-    except (ConfigError, NotFound, BundleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
+    cfg = _load_run_config(args.config, args.override)
+    seed = _resolve_seed(cfg, args.seed)
+    base = Path(args.config).resolve().parent
+    bundle = _load_problem(cfg, args.problem, base)
+    out_dir = Path(args.out if args.out is not None else cfg.get("out", "out"))
+    return _execute_run(cfg, seed, bundle, out_dir)[0]
 
 
 def cmd_check(args) -> int:
-    try:
-        recipe = get_recipe(args.recipe)
-        oracle = args.oracle if args.oracle is not None else recipe.default_oracle
-        bundle = _load_problem({}, args.problem)
-        seed = _resolve_seed({}, args.seed)
-    except (ConfigError, NotFound, BundleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = check_equivalence(args.recipe, oracle, bundle, args.tol,
-                                   seed=seed)
-    except ValueError as exc:  # a bad pair, bundle or recipe input
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
+    recipe = get_recipe(args.recipe)
+    oracle = args.oracle if args.oracle is not None else recipe.default_oracle
+    bundle = _load_problem({}, args.problem)
+    seed = _resolve_seed({}, args.seed)
+    report = check_equivalence(args.recipe, oracle, bundle, args.tol, seed=seed)
     print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
     return EXIT_OK if report["passed"] else EXIT_MISMATCH
 
@@ -220,34 +218,25 @@ def _run_cell(index, assignment, cfg, seed, bundle, out_root):
     for dotted, value in assignment.items():
         _set_dotted(cell_cfg, dotted, value)
     out_dir = out_root / _cell_name(index, assignment)
+    final = None
     try:
         _validate_run_config(cell_cfg)
-        code = _execute_run(cell_cfg, seed, bundle, out_dir)
+        code, final = _execute_run(cell_cfg, seed, bundle, out_dir)
         status = "ok" if code == EXIT_OK else "nonconverged"
     except Exception as exc:  # record, do not abort the sweep
-        code, status = EXIT_PARTIAL, f"failed: {exc}"
-    final = None
-    trace_path = out_dir / "trace.csv"
-    if trace_path.exists():
-        lines = trace_path.read_text().strip().splitlines()
-        if len(lines) > 1:
-            final = lines[-1].split(",")[4]  # total column
+        status = f"failed: {exc}"
     return index, assignment, status, final
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = _load_run_config(args.config, args.override)
-        grid = cfg.get("grid")
-        if not isinstance(grid, dict) or not grid or any(not v for v in grid.values()):
-            raise ConfigError("sweep needs a non-empty 'grid' of value lists")
-        seed = _resolve_seed(cfg, args.seed)
-        base = Path(args.config).resolve().parent
-        bundle = _load_problem(cfg, args.problem, base)
-        out_root = Path(args.out if args.out is not None else cfg.get("out", "sweep"))
-    except (ConfigError, NotFound, BundleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _load_run_config(args.config, args.override)
+    grid = cfg.get("grid")
+    if not isinstance(grid, dict) or not grid or any(not v for v in grid.values()):
+        raise ConfigError("sweep needs a non-empty 'grid' of value lists")
+    seed = _resolve_seed(cfg, args.seed)
+    base = Path(args.config).resolve().parent
+    bundle = _load_problem(cfg, args.problem, base)
+    out_root = Path(args.out if args.out is not None else cfg.get("out", "sweep"))
     out_root.mkdir(parents=True, exist_ok=True)
     results = [_run_cell(i, a, cfg, seed, bundle, out_root)
                for i, a in enumerate(_sweep_cells(grid))]
@@ -307,7 +296,16 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors; our contract reserves 2 for
         # non-convergence, so remap
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    return args.func(args)
+    # ConfigError and BundleError are ValueErrors, as are a bad recipe pair
+    # and a bad recipe input
+    try:
+        return args.func(args)
+    except (NotFound, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except NonConvergence as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
 
 
 if __name__ == "__main__":

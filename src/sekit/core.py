@@ -68,8 +68,8 @@ class Domain:
         return divmod(t, ny)
 
     @staticmethod
-    def of_size(n: int, prefix: str = "t") -> "Domain":
-        return Domain(tuple(f"{prefix}{i}" for i in range(n)))
+    def of_size(n: int) -> "Domain":
+        return Domain(tuple(f"t{i}" for i in range(n)))
 
     @staticmethod
     def product(x_labels: Sequence[str], y_labels: Sequence[str]) -> "Domain":

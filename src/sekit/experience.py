@@ -3,7 +3,8 @@ logic), model-based, and weighted combinations.
 
 An ExperienceFn scores every configuration of a finite domain in the extended
 reals (-inf allowed, +inf forbidden).  Theta-dependent experience receives the
-current model as an argument and never captures mutable state.
+current model as an argument; the only state it writes is its own
+`diagnostics` (the reward experience records its reward offset there).
 """
 from __future__ import annotations
 
@@ -55,12 +56,9 @@ class ExperienceFn:
     experience ignores the model argument.
     """
 
-    def __init__(self, domain: Domain, fn: Callable[[object], np.ndarray],
-                 theta_dependent: bool = False, name: str = ""):
+    def __init__(self, domain: Domain, fn: Callable[[object], np.ndarray]):
         self.domain = domain
         self._fn = fn
-        self.theta_dependent = theta_dependent
-        self.name = name
         self.diagnostics: Dict[str, float] = {}
 
     def values(self, model=None) -> np.ndarray:
@@ -72,9 +70,9 @@ class ExperienceFn:
         return v
 
     @classmethod
-    def from_vector(cls, domain: Domain, v, name: str = "") -> "ExperienceFn":
+    def from_vector(cls, domain: Domain, v) -> "ExperienceFn":
         v = np.asarray(v, dtype=float).copy()
-        return cls(domain, lambda model: v, theta_dependent=False, name=name)
+        return cls(domain, lambda model: v)
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,7 @@ class Dataset:
 
 def f_data(dataset: Dataset) -> ExperienceFn:
     """f(t) = log(m(t) / N): log empirical frequency, -inf off support."""
-    return ExperienceFn.from_vector(dataset.domain, safe_log(dataset.empirical()),
-                                    name="data")
+    return ExperienceFn.from_vector(dataset.domain, safe_log(dataset.empirical()))
 
 
 def f_data_self(dataset: Dataset, split: Callable[[int], Tuple[int, int]],
@@ -134,13 +131,13 @@ def f_data_self(dataset: Dataset, split: Callable[[int], Tuple[int, int]],
             raise SplitOutOfRange(f"split({t}) = ({x}, {y}) outside {nx}x{ny}")
         pair_counts[x * ny + y] += m  # product_domain.pair, range checked above
     return ExperienceFn.from_vector(product_domain,
-                                    safe_log(pair_counts / dataset.n_data),
-                                    name="data-self")
+                                    safe_log(pair_counts / dataset.n_data))
 
 
-def f_data_weighted(dataset: Dataset, weights=None) -> ExperienceFn:
-    """f(t) = log(m(t) w(t) / N): importance-weighted empirical similarity."""
-    w = dataset.weights if weights is None else np.asarray(weights, dtype=float)
+def f_data_weighted(dataset: Dataset) -> ExperienceFn:
+    """f(t) = log(m(t) w(t) / N) with the dataset's weights w:
+    importance-weighted empirical similarity."""
+    w = dataset.weights
     if w is None:
         raise ValueError("no weights given")
     if np.any(w < 0):
@@ -148,7 +145,7 @@ def f_data_weighted(dataset: Dataset, weights=None) -> ExperienceFn:
     scaled = dataset.empirical() * w
     if scaled.sum() == 0:
         raise AllZeroWeights("all weights vanish on the dataset support")
-    return ExperienceFn.from_vector(dataset.domain, safe_log(scaled), name="data-w")
+    return ExperienceFn.from_vector(dataset.domain, safe_log(scaled))
 
 
 def f_data_augmented(dataset: Dataset, kernel: np.ndarray) -> ExperienceFn:
@@ -166,7 +163,7 @@ def f_data_augmented(dataset: Dataset, kernel: np.ndarray) -> ExperienceFn:
     if not kernel.any(axis=1)[support].any():
         raise DegenerateKernel("kernel vanishes on the dataset support")
     smoothed = dataset.empirical() @ kernel
-    return ExperienceFn.from_vector(dataset.domain, safe_log(smoothed), name="data-aug")
+    return ExperienceFn.from_vector(dataset.domain, safe_log(smoothed))
 
 
 def raml_kernel(payoff: np.ndarray) -> np.ndarray:
@@ -201,8 +198,7 @@ def f_active(pool: Dataset, labels: np.ndarray, u: np.ndarray,
     joint = np.zeros(product_domain.size)
     joint[observed * ny + y] = pool.counts[observed] / pool.n_data
     bonus = np.repeat(lam * u, ny)
-    return ExperienceFn.from_vector(product_domain, safe_log(joint) + bonus,
-                                    name="active")
+    return ExperienceFn.from_vector(product_domain, safe_log(joint) + bonus)
 
 
 def selection_distribution(pool: Dataset, u: np.ndarray, lam: float) -> np.ndarray:
@@ -342,7 +338,7 @@ def eval_soft_logic(expr: SoftLogicExpr, atoms: Dict[str, np.ndarray], n: int) -
 def f_rule(expr: SoftLogicExpr, domain: Domain, atoms: Dict[str, np.ndarray]) -> ExperienceFn:
     """Knowledge experience: f(t) is the rule's truth value at t."""
     values = eval_soft_logic(expr, atoms, domain.size)
-    return ExperienceFn.from_vector(domain, values, name="rule")
+    return ExperienceFn.from_vector(domain, values)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +353,7 @@ def f_model_mimic(inputs: Dataset, source: ConditionalSoftmaxModel) -> Experienc
         raise DomainMismatch("input dataset must live on the X factor")
     log_emp = safe_log(inputs.empirical())
     v = (log_emp[:, None] + source.log_probs()).ravel()
-    return ExperienceFn.from_vector(domain, v, name="model-mimic")
+    return ExperienceFn.from_vector(domain, v)
 
 
 def combine(terms: List[Tuple[float, ExperienceFn]]) -> ExperienceFn:
@@ -370,7 +366,6 @@ def combine(terms: List[Tuple[float, ExperienceFn]]) -> ExperienceFn:
             raise ValueError("combination weights must be positive")
         if f.domain.size != domain.size:
             raise DomainMismatch("mismatched domains in combination")
-    theta_dependent = any(f.theta_dependent for _, f in terms)
 
     def evaluate(model):
         total = np.zeros(domain.size)
@@ -382,5 +377,4 @@ def combine(terms: List[Tuple[float, ExperienceFn]]) -> ExperienceFn:
             total += np.where(hard, 0.0, lam * v)
         return np.where(neg_inf, -np.inf, total)
 
-    return ExperienceFn(domain, evaluate, theta_dependent=theta_dependent,
-                        name="+".join(f.name for _, f in terms))
+    return ExperienceFn(domain, evaluate)

@@ -229,8 +229,7 @@ def policy_value(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> float:
 
 
 def f_reward(mdp: TabularMDP, mode: str = "log_q",
-             intrinsic_rewards: Optional[np.ndarray] = None,
-             offset: Optional[float] = None) -> ExperienceFn:
+             intrinsic_rewards: Optional[np.ndarray] = None) -> ExperienceFn:
     """Theta-dependent reward experience over the state-action domain.
 
     Modes: "log_q" (log of the exact Q), "q" (raw Q, for RL-as-inference with
@@ -239,8 +238,10 @@ def f_reward(mdp: TabularMDP, mode: str = "log_q",
     linear in r).  `values` takes the current policy, which it factors once,
     or a `PolicyEvaluation` of it, whose factorisation it solves on.
 
-    In the log modes, if min Q <= 0 a reward offset c (auto-chosen unless
-    given) shifts r -> r + c; the applied offset lands in `diagnostics`.
+    In the log modes, if min Q <= 0 the reward offset
+    c = (1e-6 - min Q)(1 - gamma) shifts r -> r + c, which lifts min Q to
+    about 1e-6; the applied offset lands in `diagnostics`, and a Q that
+    rounding leaves non-positive raises NonPositiveQ.
     """
     if mode not in ("log_q", "q", "q_plus_intrinsic"):
         raise ValueError(f"unknown reward mode {mode!r}")
@@ -250,9 +251,6 @@ def f_reward(mdp: TabularMDP, mode: str = "log_q",
             raise ValueError("q_plus_intrinsic mode requires intrinsic rewards")
         intrinsic = np.asarray(intrinsic_rewards, dtype=float)
         rewards = rewards + intrinsic.reshape(rewards.shape)
-    domain = mdp.domain()
-    fn = ExperienceFn(domain, lambda model: None, theta_dependent=True,
-                      name=f"reward-{mode}")
 
     def evaluate(model):
         if isinstance(model, ConditionalSoftmaxModel):
@@ -265,17 +263,14 @@ def f_reward(mdp: TabularMDP, mode: str = "log_q",
         min_q = float(total.min())
         c = 0.0
         if min_q <= 0:
-            if offset is not None:
-                c = offset
-            else:
-                c = (1e-6 - min_q) * (1.0 - mdp.gamma)
+            c = (1e-6 - min_q) * (1.0 - mdp.gamma)
             total = total + c / (1.0 - mdp.gamma)
             if float(total.min()) <= 0:
                 raise NonPositiveQ("offset did not make Q positive")
         fn.diagnostics["reward_offset"] = c
         return np.log(total.ravel())
 
-    fn._fn = evaluate
+    fn = ExperienceFn(mdp.domain(), evaluate)
     return fn
 
 

@@ -109,8 +109,8 @@ def run_recipe(name: str, bundle: ProblemBundle, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def _mle_like(config: SEConfig, fn: ExperienceFn,
-              reference: Optional[Dist] = None, iters: int = 25) -> RecipeResult:
-    config = replace(config, experience=fn, max_iters=iters)
+              reference: Optional[Dist] = None) -> RecipeResult:
+    config = replace(config, experience=fn)
     model = SoftmaxModel.zeros(fn.domain)
     model, trace = run(config, model, fn.domain, reference=reference)
     return RecipeResult(model, trace, model.dist())
@@ -136,9 +136,9 @@ def _run_unsupervised(config, bundle, seed, iters=20, alpha=None,
     p_x = bundle.dataset.empirical()
     # f(x, y) = log empirical(x), constant in the latent coordinate
     f_vec = np.repeat(safe_log(p_x), k)
-    fn = ExperienceFn.from_vector(prod, f_vec, name="data-unsup")
+    fn = ExperienceFn.from_vector(prod, f_vec)
     config = replace(config, alpha=config.alpha if alpha is None else alpha,
-                     experience=fn, max_iters=iters, objective_tol=0.0)
+                     experience=fn, max_iters=iters)
     rng = np.random.default_rng(seed)
     mix = np.log(rng.dirichlet(np.ones(k))) if init_mix is None else np.asarray(init_mix, dtype=float)
     comp = (np.log(rng.dirichlet(np.ones(nx), size=k)) if init_comp is None
@@ -195,8 +195,8 @@ def _run_posterior_reg(config, bundle, seed, iters=10) -> RecipeResult:
     p_x = counts_x / counts_x.sum()
     from .experience import eval_soft_logic
     rule_vals = eval_soft_logic(bundle.rule, bundle.atoms, prod.size)
-    fn = ExperienceFn.from_vector(prod, bundle.rule_weight * rule_vals, name="rule")
-    config = replace(config, experience=fn, max_iters=iters, objective_tol=0.0)
+    fn = ExperienceFn.from_vector(prod, bundle.rule_weight * rule_vals)
+    config = replace(config, experience=fn, max_iters=iters)
     rng = np.random.default_rng(seed)
     model = ConditionalSoftmaxModel(rng.normal(size=(nx, ny)) * 0.1, prod)
     history = []
@@ -207,16 +207,16 @@ def _run_posterior_reg(config, bundle, seed, iters=10) -> RecipeResult:
                                 "rule_values": rule_vals})
 
 
-def _mdp_teacher(config, bundle, seed, mode, **fkw):
-    """One teacher step from a seeded policy at the reward experience `mode`,
-    with the state-action distribution (normalized visitation times pi) as
-    the model.  f and the visitation share one policy evaluation.  Returns
-    the result, the values of f and the unnormalized visitation."""
+def _mdp_teacher(config, bundle, seed, fn):
+    """One teacher step from a seeded policy at `fn`, an `f_reward` of the
+    bundle's MDP, with the state-action distribution (normalized visitation
+    times pi) as the model.  f and the visitation share one policy
+    evaluation.  Returns the result, the values of f and the unnormalized
+    visitation."""
     mdp = bundle.mdp
     rng = np.random.default_rng(seed)
     policy = ConditionalSoftmaxModel(rng.normal(size=mdp.rewards.shape) * 0.3,
                                      mdp.domain())
-    fn = f_reward(mdp, mode, **fkw)
     f_vals, mu = reward_and_visitation(mdp, policy, fn)
     joint = mu[:, None] * policy.probs()
     p_sa = Dist.from_probs((joint / joint.sum()).ravel())
@@ -230,7 +230,8 @@ def _mdp_teacher(config, bundle, seed, mode, **fkw):
 
 def _run_policy_gradient(config, bundle, seed) -> RecipeResult:
     """One teacher step at f = log Q; adds the student gradient and Z."""
-    result, f_vals, mu = _mdp_teacher(config, bundle, seed, "log_q")
+    result, f_vals, mu = _mdp_teacher(config, bundle, seed,
+                                      f_reward(bundle.mdp, "log_q"))
     policy, q = result.model, result.extras["q"]
     # Z = sum_sa mu(s) pi(a|s) exp f(s,a) over the unnormalized visitation, so
     # that the student gradient times Z is the exact policy gradient
@@ -245,8 +246,8 @@ def _run_intrinsic(config, bundle, seed) -> RecipeResult:
     intrinsic = np.asarray(bundle.extras.get("intrinsic_rewards",
                                              np.ones_like(mdp.rewards) * 0.1),
                            dtype=float).reshape(mdp.rewards.shape)
-    result, _, _ = _mdp_teacher(config, bundle, seed, "q_plus_intrinsic",
-                                intrinsic_rewards=intrinsic)
+    result, _, _ = _mdp_teacher(
+        config, bundle, seed, f_reward(mdp, "q_plus_intrinsic", intrinsic))
     result.extras["intrinsic"] = intrinsic
     return result
 
@@ -254,7 +255,7 @@ def _run_intrinsic(config, bundle, seed) -> RecipeResult:
 def _run_rl_inference(config, bundle, seed, rho=None) -> RecipeResult:
     rho = bundle.rho if rho is None else rho
     result, f_vals, _ = _mdp_teacher(replace(config, alpha=rho, beta=rho),
-                                     bundle, seed, "q")
+                                     bundle, seed, f_reward(bundle.mdp, "q"))
     result.extras.update(rho=rho, f_vals=f_vals)
     return result
 
@@ -298,7 +299,7 @@ def _run_interpolation(config, bundle, seed, iters_per_stage=10) -> RecipeResult
                         dtype=float)
     fn_data = f_data(bundle.dataset)
     fn_aug = f_data_augmented(bundle.dataset, raml_kernel(bundle.payoff))
-    fn_reward = ExperienceFn.from_vector(dom, reward, name="reward")
+    fn_reward = ExperienceFn.from_vector(dom, reward)
     k = iters_per_stage
     plan = [
         Segment(1, k, {"experience": fn_data, "beta": DEFAULT_EPSILON}),
@@ -567,8 +568,11 @@ def _check_interpolation(bundle, tol, seed):
     return (0.0 if contiguous else np.inf), {"iterations": len(iters)}
 
 
-_MLE = SEConfig(alpha=1.0, beta=DEFAULT_EPSILON)
-_EM = SEConfig(alpha=1.0, beta=1.0, q_decomposition="fixed_x_marginal")
+# each family's stopping rule: the MLE family runs at most 25 iterations and
+# stops early once converged; the EM family runs its full count
+_MLE = SEConfig(alpha=1.0, beta=DEFAULT_EPSILON, max_iters=25)
+_EM = SEConfig(alpha=1.0, beta=1.0, q_decomposition="fixed_x_marginal",
+               objective_tol=0.0)
 _UNIT = SEConfig(alpha=1.0, beta=1.0)
 _GAN = SEConfig(alpha=0.0, beta=1.0)
 

@@ -10,7 +10,6 @@ that interpolates between configurations.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -66,7 +65,6 @@ class TraceRecord:
     neg_e_q_f: float
     total: float
     tv_to_ref: Optional[float]
-    ms: float
     tag: str = ""
 
 
@@ -82,8 +80,9 @@ class Trace:
         self.records.append(TraceRecord(**kwargs))
 
     def to_csv(self) -> str:
-        """CSV text with the wall-clock column zeroed, so identical
-        (config, seed) runs serialize byte-identically."""
+        """CSV text whose `ms` column is always 0.0 (no run time is
+        recorded), so identical (config, seed) runs serialize
+        byte-identically."""
         lines = [",".join(self.CSV_COLUMNS)]
         for r in self.records:
             tv = "" if r.tv_to_ref is None else repr(r.tv_to_ref)
@@ -227,7 +226,6 @@ def _step(config: SEConfig, model: Model, domain: Domain,
           trace: Trace, iteration: int, tag: str = "") -> Tuple[Model, Dist, float]:
     """One teacher-student iteration, recorded in `trace`.  Returns the new
     model, the teacher q and the objective total at the old model."""
-    t0 = time.perf_counter()
     f_vals = (config.experience.values(model) if config.experience is not None
               else np.zeros(domain.size))
     p_theta = model_dist(model, p_x)
@@ -244,9 +242,8 @@ def _step(config: SEConfig, model: Model, domain: Domain,
     tv = None
     if reference is not None:
         tv = model_dist(model, p_x).tv(reference)
-    ms = (time.perf_counter() - t0) * 1000.0
     trace.add(iteration=iteration, neg_alpha_h=neg_h, beta_d=d_term,
-              neg_e_q_f=neg_f, total=total, tv_to_ref=tv, ms=ms, tag=tag)
+              neg_e_q_f=neg_f, total=total, tv_to_ref=tv, tag=tag)
     if config.experience is not None and config.experience.diagnostics:
         trace.diagnostics.update(config.experience.diagnostics)
     return model, q, total
@@ -334,7 +331,7 @@ def mw_update(weights: Dist, rewards: np.ndarray, alpha: float) -> Dist:
 
 @dataclass(frozen=True)
 class Segment:
-    """A half-open range [start, end] of outer iterations with config overrides."""
+    """The outer iterations start..end, both included, with config overrides."""
 
     start: int
     end: int
@@ -342,10 +339,10 @@ class Segment:
 
 
 def schedule(base: SEConfig, plan: Sequence[Segment], model: Model,
-             domain: Domain, p_x: Optional[np.ndarray] = None,
-             reference: Optional[Dist] = None) -> Tuple[Model, Trace]:
+             domain: Domain) -> Tuple[Model, Trace]:
     """Run the dynamic outer loop: at each tau the active segment's config
-    (experience, weights, ...) drives one teacher-student step."""
+    (experience, weights, ...) drives one teacher-student step.  Segments
+    are contiguous; each runs every tau from its start to its end."""
     plan = list(plan)
     if not plan:
         raise PlanGap("empty plan")
@@ -358,6 +355,6 @@ def schedule(base: SEConfig, plan: Sequence[Segment], model: Model,
     for seg in plan:
         config = replace(base, **seg.overrides)
         for tau in range(seg.start, seg.end + 1):
-            model, _, _ = _step(config, model, domain, p_x, reference, trace,
+            model, _, _ = _step(config, model, domain, None, None, trace,
                                 tau, f"{seg.start}-{seg.end}")
     return model, trace

@@ -20,7 +20,7 @@ def toy_dataset():
 
 @pytest.fixture
 def mixture_bundle():
-    dom = Domain.of_size(5, "s")
+    dom = Domain.of_size(5)
     counts = np.array([12.0, 8.0, 15.0, 5.0, 10.0])  # 50 observations
     return ProblemBundle(dataset=Dataset(dom, counts), n_components=2)
 

@@ -55,7 +55,7 @@ def test_01_supervised_mle_reduction():
 def test_02_em_equivalence():
     """Per-iteration match with hand-coded EM to 1e-10; NLL non-increasing."""
     t0 = time.time()
-    dom = Domain.of_size(5, "s")
+    dom = Domain.of_size(5)
     counts = np.array([12.0, 8.0, 15.0, 5.0, 10.0])  # 50 observations
     b = ProblemBundle(dataset=Dataset(dom, counts), n_components=2)
     rep = check_equivalence("unsupervised-mle", "hand-em", b, 1e-10, seed=3,

@@ -162,7 +162,7 @@ class TestAdversarialRun:
             res = adversarial_run("ppo_gan", gan_target, model0, iters=1)
             disc1 = reweighted_discriminator_update(
                 Discriminator(np.zeros(n), "classifier"), gan_target,
-                model0.dist(), 5, 4.0)
+                model0.dist())
             assert np.array_equal(_bits(res.discriminator.phi), _bits(disc1.phi))
             # theta, not dist(): dist() renormalises, which can move an ulp
             assert np.array_equal(_bits(res.model.theta),

@@ -144,6 +144,43 @@ class TestRun:
         assert word in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_numeric_param_override_exits_one(self, tmp_path, capsys):
+        cfg = {"recipe": "multiplicative-weights", "seed": 0,
+               "problem": os.path.abspath(os.path.join(CONFIG_DIR,
+                                                       "experts.json"))}
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tmp_path / "run.json"), "--out",
+                     str(out), "--override", "params.alpha=abc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: params.alpha must be a number")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["4", True, {"n": 4}, [4, "x"],
+                                       [[1.0], [None]]])
+    def test_param_that_is_not_numeric_exits_one(self, workspace, capsys,
+                                                 value):
+        cfg = {"recipe": "unified-em", "problem": "toy.json",
+               "params": {"iters": value}}
+        (workspace / "run.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(workspace / "run.json"),
+                     "--out", str(workspace / "out")]) == 1
+        assert "params.iters must be a number" in capsys.readouterr().err
+
+    def test_numeric_params_pass_validation(self, tmp_path):
+        # numbers, null and nested lists of numbers reach the runner
+        cfg = {"recipe": "unsupervised-mle", "seed": 0,
+               "params": {"iters": 3, "alpha": None,
+                          "init_mix": [-0.5, -1.0],
+                          "init_comp": [[-1.0] * 5, [-2.0] * 5]},
+               "problem": {"dataset": {"labels": list("abcde"),
+                                       "counts": [12, 8, 15, 5, 10]},
+                           "n_components": 2}}
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+
     def test_relative_problem_flag_resolves_against_cwd(self, workspace,
                                                         monkeypatch):
         # the config's own "problem" key stays relative to the config file
@@ -297,6 +334,42 @@ class TestSweep:
         summary = (out / "summary.csv").read_text()
         assert "failed" in summary
         assert "ok" in summary
+
+    def test_summary_reports_this_sweeps_totals(self, tmp_path):
+        # a cell that fails now reports no total, even where an earlier
+        # sweep into the same --out left a trace behind
+        cfg = self.make_sweep(tmp_path, {"params.iters_per_stage": [4, 6]})
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        first = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert all(row.split(",")[-1] for row in first)
+        (tmp_path / "experts.json").write_text(
+            json.dumps({"rewards": [[0.1, 0.9]] * 3}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--problem", str(tmp_path / "experts.json")]) == 2
+        rows = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            assert row.split(",")[2].startswith("failed: bundle is missing")
+            assert row.split(",")[-1] == ""
+
+    def test_summary_total_is_the_trace_total(self, tmp_path):
+        cfg = self.make_sweep(tmp_path, {"params.iters_per_stage": [4]})
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        row = (out / "summary.csv").read_text().strip().splitlines()[1]
+        trace = next(out.glob("cell_000_*")) / "trace.csv"
+        last = trace.read_text().strip().splitlines()[-1]
+        assert row.split(",")[-1] == last.split(",")[4]
+
+    def test_non_numeric_param_cell_fails(self, tmp_path):
+        cfg = self.make_sweep(tmp_path, {"params.iters_per_stage": [4, "six"]})
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        rows = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert rows[0].split(",")[2] == "ok"
+        assert rows[1].split(",")[2].startswith(
+            "failed: params.iters_per_stage must be a number")
 
     def test_non_object_params_cell_fails(self, tmp_path):
         # each cell passes the same validation as a `run` config

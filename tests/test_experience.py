@@ -54,13 +54,14 @@ class TestDataExperience:
 
     def test_weighted(self, toy_dataset):
         w = np.arange(8, dtype=float)
-        f = f_data_weighted(toy_dataset, w)
+        f = f_data_weighted(Dataset(toy_dataset.domain, toy_dataset.counts, w))
         emp = toy_dataset.empirical()
         assert np.exp(f.values()[2]) == pytest.approx(emp[2] * 2.0, abs=1e-14)
 
     def test_weighted_all_zero(self, toy_dataset):
         with pytest.raises(AllZeroWeights):
-            f_data_weighted(toy_dataset, np.zeros(8))
+            f_data_weighted(Dataset(toy_dataset.domain, toy_dataset.counts,
+                                    np.zeros(8)))
 
     def test_augmented_identity_kernel(self, toy_dataset):
         f = f_data_augmented(toy_dataset, np.eye(8))
@@ -102,7 +103,7 @@ class TestDataExperience:
 
 class TestActive:
     def test_selection_softmax(self):
-        pool = Dataset(Domain.of_size(4, "x"), np.array([1.0, 2.0, 3.0, 4.0]))
+        pool = Dataset(Domain.of_size(4), np.array([1.0, 2.0, 3.0, 4.0]))
         u = np.array([0.1, 0.9, 0.5, 0.2])
         sel = selection_distribution(pool, u, 2.0)
         emp = pool.empirical()
@@ -111,13 +112,13 @@ class TestActive:
         assert np.max(np.abs(sel - expected)) <= 1e-12
 
     def test_selection_degenerates_to_argmax(self):
-        pool = Dataset(Domain.of_size(4, "x"), np.array([1.0, 2.0, 3.0, 4.0]))
+        pool = Dataset(Domain.of_size(4), np.array([1.0, 2.0, 3.0, 4.0]))
         u = np.array([0.1, 0.9, 0.9, 0.2])
         sel = selection_distribution(pool, u, 1e6)
         assert sel[1] == 1.0  # lowest index among ties
 
     def test_f_active_structure(self):
-        pool = Dataset(Domain.of_size(3, "x"), np.array([1.0, 1.0, 2.0]))
+        pool = Dataset(Domain.of_size(3), np.array([1.0, 1.0, 2.0]))
         prod = Domain.product(("x0", "x1", "x2"), ("y0", "y1"))
         f = f_active(pool, np.array([0, 1, 0]), np.array([0.3, 0.1, 0.2]), 1.5,
                      prod)
@@ -143,7 +144,7 @@ class TestActive:
             nx, ny = int(g.integers(1, 30)), int(g.integers(1, 6))
             counts = g.integers(0, 9, nx).astype(float)
             counts[g.integers(nx)] += 1.0
-            pool = Dataset(Domain.of_size(nx, "x"), counts)
+            pool = Dataset(Domain.of_size(nx), counts)
             prod = Domain.product(pool.domain.labels,
                                   tuple(f"y{j}" for j in range(ny)))
             labels, u = g.integers(0, ny, nx), g.normal(size=nx)
@@ -153,7 +154,7 @@ class TestActive:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_f_active_checks_only_observed_labels(self):
-        pool = Dataset(Domain.of_size(4, "x"), np.array([2.0, 0.0, 1.0, 0.0]))
+        pool = Dataset(Domain.of_size(4), np.array([2.0, 0.0, 1.0, 0.0]))
         prod = Domain.product(("x0", "x1", "x2", "x3"), ("y0", "y1"))
         u = np.zeros(4)
         for bad in (-1, 2, 99):

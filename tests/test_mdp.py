@@ -297,14 +297,14 @@ class TestFReward:
         shifted = q_function(mdp, policy).q + c / (1.0 - mdp.gamma)
         assert np.max(np.abs(np.exp(v) - shifted.ravel())) <= 1e-8
 
-    def test_bad_offset_raises(self, small_mdp, rng):
-        g = np.random.default_rng(1)
-        P = g.dirichlet(np.ones(3), size=(3, 2))
-        mdp = TabularMDP(P, g.random((3, 2)) - 5.0, 0.9, np.ones(3) / 3)
+    def test_offset_lost_to_rounding_raises(self):
+        # at |Q| = 1e17 the offset's 1e-6 margin rounds away, so the shifted
+        # Q is exactly 0 and the check raises before log(0) is taken
+        P = np.random.default_rng(1).dirichlet(np.ones(3), size=(3, 2))
+        mdp = TabularMDP(P, np.full((3, 2), -1e17), 0.0, np.ones(3) / 3)
         policy = ConditionalSoftmaxModel(np.zeros((3, 2)), mdp.domain())
-        f = f_reward(mdp, "log_q", offset=1e-9)
         with pytest.raises(NonPositiveQ):
-            f.values(policy)
+            f_reward(mdp, "log_q").values(policy)
 
     def test_intrinsic_mode(self, small_mdp, rng):
         policy = random_policy(small_mdp, rng)

@@ -110,6 +110,18 @@ class TestValidation:
             run_recipe("multiplicative-weights",
                        ProblemBundle(rewards=np.ones((3, 2))), alpha=alpha)
 
+    @pytest.mark.parametrize("key, value", [("reference", [0.5, 0.5]),
+                                            ("rule_weight", 2.0)])
+    def test_bundle_rejects_keys_no_recipe_reads(self, key, value):
+        # the rule's weight is set only as rule.weight
+        with pytest.raises(BundleError, match=f"unknown bundle keys: {key}$"):
+            load_bundle({"domain": 2, key: value})
+
+    def test_bundle_rule_weight(self):
+        b = load_bundle({"domain": 2, "rule": {
+            "atoms": {"A": [0.2, 0.9]}, "expr": ["atom", "A"], "weight": 3.0}})
+        assert b.rule_weight == 3.0
+
     def test_incompatible_pair(self, toy_dataset):
         b = ProblemBundle(dataset=toy_dataset)
         with pytest.raises(IncompatiblePair):
@@ -169,7 +181,7 @@ class TestChecks:
         assert not any(np.ndim(v) == 2 for v in res.extras.values())
 
     def test_active(self, rng):
-        pool = Dataset(Domain.of_size(5, "x"), np.array([3.0, 1.0, 4.0, 2.0, 5.0]))
+        pool = Dataset(Domain.of_size(5), np.array([3.0, 1.0, 4.0, 2.0, 5.0]))
         b = ProblemBundle(pool=pool, oracle_labels=np.array([0, 1, 2, 0, 1]),
                           utility=rng.random(5), select_lambda=2.0)
         rep = check_equivalence("active-learning", "enumeration", b, 1e-6)

@@ -1,7 +1,8 @@
 """Engine-wide source rules: no runtime `assert` (python -O strips it), no
 `while` loop (each loop is bounded, so it converges or raises a typed error),
 no `SEConfig` field that nothing reads, no import that nothing uses, no
-engine definition that only tests reach, no engine import in the oracles, no
+engine definition that only tests reach, no engine option (a defaulted
+parameter) that no caller passes, no engine import in the oracles, no
 `scipy.special` in the engine, no `scipy.sparse` anywhere in sekit (its
 import alone raises every run's peak memory and set-up time; the MDP kernels
 read P's sparse view as plain numpy arrays), one linear-solve path:
@@ -11,6 +12,7 @@ and `solver`, so every other exponential tilt goes through the teacher, and
 one unvalidated `Dist`: only `core` builds a `Dist` that skips validation."""
 import ast
 import dataclasses
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,10 @@ import sekit
 from sekit.solver import SEConfig
 
 MODULES = sorted(Path(sekit.__file__).parent.glob("*.py"))
+_REPO = Path(__file__).resolve().parent.parent
+# the code that may call the engine: tests do not count
+CALLERS = (MODULES + sorted((_REPO / "perfbench").glob("*.py"))
+           + sorted((_REPO / "scripts").glob("*.py")))
 
 
 def _parse(path):
@@ -181,10 +187,7 @@ def _mentions(tree):
 def test_every_engine_definition_has_a_caller():
     # code that only tests reach is deleted; names match by spelling, so a
     # method shares its mentions with every same-named attribute
-    repo = Path(__file__).resolve().parent.parent
-    callers = (MODULES + sorted((repo / "perfbench").glob("*.py"))
-               + sorted((repo / "scripts").glob("*.py")))
-    trees = {path: _parse(path) for path in callers}
+    trees = {path: _parse(path) for path in CALLERS}
     named = {}
     for path, tree in trees.items():
         for name, node in _mentions(tree):
@@ -200,6 +203,90 @@ def test_every_engine_definition_has_a_caller():
             if all(p == path and id(n) in own for p, n in named.get(name, [])):
                 unreached.append(f"{path.name}:{node.lineno}: {name}")
     assert unreached == []
+
+
+# Engine functions whose options no call site passes, each with its reason.
+_UNPASSED_OPTIONS = {
+    "influence_function": "step_size, max_iters and tol wait for item 18, "
+                          "which deletes the iterative ascent",
+    "_run_*": "recipe runners take their options through run_recipe's "
+              "**params",
+    "_check_*": "checks take their options through check_equivalence's "
+                "**params",
+}
+
+
+def _options(tree):
+    # (name it is called by, definition, defaulted parameter, its position
+    # in a call or None if keyword-only) of module-level functions and
+    # methods; a method's position skips self, and __init__ is called by
+    # its class's name
+    def defaulted(name, node, skip):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield name, node, arg.arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, node, arg.arg, None
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from defaulted(node.name, node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in sub.decorator_list)
+                    yield from defaulted(
+                        node.name if sub.name == "__init__" else sub.name,
+                        sub, 0 if static else 1)
+
+
+def _calls(tree):
+    # (called name, call): an import alias calls the name it imports, and
+    # cls(...) inside a class body calls that class
+    aliases = {a.asname: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for a in node.names
+               if a.asname}
+
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = (getattr(child.func, "id", None)
+                        or getattr(child.func, "attr", None))
+                if name == "cls" and cls is not None:
+                    name = cls
+                yield aliases.get(name, name), child
+            yield from walk(child, child.name
+                            if isinstance(child, ast.ClassDef) else cls)
+
+    yield from walk(tree, None)
+
+
+def _passes(call, arg, position):
+    # by name, by position, or through a *args of unknown length
+    return (any(k.arg == arg for k in call.keywords)
+            or position is not None
+            and (len(call.args) > position
+                 or any(isinstance(a, ast.Starred) for a in call.args)))
+
+
+def test_every_engine_option_has_a_caller():
+    # an option that no caller sets adds configurations to test and does
+    # nothing else; names match by spelling, as for definitions above
+    calls = {}
+    for path in CALLERS:
+        for name, call in _calls(_parse(path)):
+            calls.setdefault(name, []).append(call)
+    unset = [f"{path.name}:{node.lineno}: {name}({arg}=...)"
+             for path in MODULES if path.name != "oracles.py"
+             for name, node, arg, position in _options(_parse(path))
+             if not any(fnmatch(name, p) for p in _UNPASSED_OPTIONS)
+             and not any(_passes(c, arg, position)
+                         for c in calls.get(name, []))]
+    assert unset == []
 
 
 # Tilts outside the teacher, each tied to the ROADMAP item that removes it.
