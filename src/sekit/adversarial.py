@@ -18,6 +18,8 @@ from .models import SoftmaxModel
 from .solver import ModeUnsupported, Trace, teacher_closed_form
 
 MODES = ("classifier", "lipschitz_critic")
+# the GAN loop stops, converged, once TV(p_theta, p_data) <= TV_TOL
+TV_TOL = 1e-3
 # the GAN loop's discriminator ascent and its vanilla-GAN model step
 DISC_STEPS = 5
 DISC_STEP_SIZE = 4.0
@@ -286,8 +288,8 @@ class AdversarialResult:
 
 
 def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
-                    iters: int = 5000, coords: Optional[np.ndarray] = None,
-                    tol: float = 1e-3) -> AdversarialResult:
+                    iters: int = 5000,
+                    coords: Optional[np.ndarray] = None) -> AdversarialResult:
     """Alternating discriminator / model updates for the zero-entropy recipes.
 
     Each iteration fits the discriminator to the current p_theta, then moves
@@ -309,7 +311,7 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
     at rate Var_p(phi), so eta = W1 / Var_p(phi) closes the linearised gap; it
     does not depend on coords.  When the gap or the variance is not positive
     the critic sees no separation and the loop ends, converged if the TV is
-    within tol.  The PPO-GAN step at eta = 1 is the exact student fit to the
+    within TV_TOL.  The PPO-GAN step at eta = 1 is the exact student fit to the
     tilt q = p_theta e^f / Z.  The returned model is built once, from the
     final p_theta.
 
@@ -346,7 +348,7 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
                                         objective="separation")
             w1, var = _critic_gap_and_variance(disc, p_data, p_theta)
             if not (w1 > 0.0 and var > 0.0):  # the critic sees no separation
-                trace.converged = p_theta.tv(p_data) <= tol
+                trace.converged = p_theta.tv(p_data) <= TV_TOL
                 break
             psi, eta = disc.phi.mean() - disc.phi, w1 / var
         p_theta = teacher_closed_form(p_theta, -eta * psi, 1.0, 1.0)
@@ -354,7 +356,7 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
         tv = p_theta.tv(p_data)
         trace.add(iteration=it, neg_alpha_h=0.0, beta_d=gap, neg_e_q_f=0.0,
                   total=gap, tv_to_ref=tv)
-        if tv <= tol:
+        if tv <= TV_TOL:
             break
     else:
         trace.converged = False

@@ -23,7 +23,6 @@ class BundleError(ValueError):
 class ProblemBundle:
     """Everything a recipe might need, all optional; recipes validate."""
 
-    domain: Optional[Domain] = None
     dataset: Optional[Dataset] = None
     product_domain: Optional[Domain] = None
     mdp: Optional[TabularMDP] = None
@@ -49,11 +48,20 @@ class ProblemBundle:
             raise BundleError(f"bundle is missing: {', '.join(missing)}")
 
 
-_KNOWN_KEYS = {
-    "domain", "dataset", "product", "mdp", "rule", "source_model", "pool",
-    "oracle_labels", "utility", "select_lambda", "rewards", "p_data",
-    "coords", "payoff", "n_components", "rho", "extras",
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+# the bundle keys that one conversion loads into the field of their name
+_PLAIN = {
+    "oracle_labels": lambda v: np.asarray(v, dtype=int), "utility": _floats,
+    "select_lambda": float, "rewards": _floats,
+    "p_data": lambda v: Dist.from_probs(_floats(v)), "coords": _floats,
+    "payoff": _floats, "n_components": int, "rho": float, "extras": dict,
 }
+# every bundle key, in load order: the dataset reads the domain and product
+_KEYS = ("domain", "product", "dataset", "mdp", "rule", "source_model",
+         "pool", *_PLAIN)
 
 
 def _load_domain(spec) -> Domain:
@@ -64,10 +72,15 @@ def _load_domain(spec) -> Domain:
     raise BundleError(f"bad domain spec: {spec!r}")
 
 
+def _labels(spec: dict, name: str) -> tuple:
+    return tuple(str(s) for s in spec[name])
+
+
 def load_bundle(payload) -> ProblemBundle:
     """Build a ProblemBundle from a JSON object (or path / JSON text).
 
-    Unknown top-level keys are rejected so typos fail loudly.
+    Unknown top-level keys are rejected so typos fail loudly, and a missing
+    or mistyped field raises BundleError naming its bundle key.
     """
     if isinstance(payload, str):
         try:
@@ -75,68 +88,49 @@ def load_bundle(payload) -> ProblemBundle:
         except json.JSONDecodeError:
             with open(payload) as fh:
                 payload = json.load(fh)
-    unknown = sorted(set(payload) - _KNOWN_KEYS)
+    if not isinstance(payload, dict):
+        raise BundleError("a bundle must be a JSON object, not "
+                          f"{type(payload).__name__}")
+    unknown = sorted(set(payload) - set(_KEYS))
     if unknown:
         raise BundleError(f"unknown bundle keys: {', '.join(unknown)}")
-    b = ProblemBundle()
-    if "domain" in payload:
-        b.domain = _load_domain(payload["domain"])
-    if "product" in payload:
-        prod = payload["product"]
-        b.product_domain = Domain.product(
-            tuple(str(s) for s in prod["x_labels"]),
-            tuple(str(s) for s in prod["y_labels"]))
-    if "dataset" in payload:
-        ds = payload["dataset"]
-        dom = (b.product_domain if ds.get("on_product") else
-               b.domain if "labels" not in ds else
-               Domain(tuple(str(s) for s in ds["labels"])))
-        if dom is None:
-            raise BundleError("dataset needs a domain")
-        if b.domain is None and not ds.get("on_product"):
-            b.domain = dom
-        b.dataset = Dataset(dom, np.asarray(ds["counts"], dtype=float),
-                            None if "weights" not in ds else
-                            np.asarray(ds["weights"], dtype=float))
-    if "mdp" in payload:
-        b.mdp = TabularMDP.from_json(payload["mdp"])
-    if "rule" in payload:
-        r = payload["rule"]
-        b.atoms = {k: np.asarray(v, dtype=float) for k, v in r["atoms"].items()}
-        b.rule = parse_rule(r["expr"], tuple(b.atoms))
-        b.rule_weight = float(r.get("weight", 1.0))
-    if "source_model" in payload:
-        sm = payload["source_model"]
-        dom = Domain.product(tuple(str(s) for s in sm["x_labels"]),
-                             tuple(str(s) for s in sm["y_labels"]))
-        b.source_model = ConditionalSoftmaxModel(
-            np.asarray(sm["logits"], dtype=float), dom)
-        if b.product_domain is None:
-            b.product_domain = dom
-    if "pool" in payload:
-        p = payload["pool"]
-        dom = Domain(tuple(str(s) for s in p["labels"]))
-        b.pool = Dataset(dom, np.asarray(p["counts"], dtype=float))
-    if "oracle_labels" in payload:
-        b.oracle_labels = np.asarray(payload["oracle_labels"], dtype=int)
-    if "utility" in payload:
-        b.utility = np.asarray(payload["utility"], dtype=float)
-    if "select_lambda" in payload:
-        b.select_lambda = float(payload["select_lambda"])
-    if "rewards" in payload:
-        b.rewards = np.asarray(payload["rewards"], dtype=float)
-    if "p_data" in payload:
-        b.p_data = Dist.from_probs(np.asarray(payload["p_data"], dtype=float))
-        if b.domain is None:
-            b.domain = Domain.of_size(b.p_data.size)
-    if "coords" in payload:
-        b.coords = np.asarray(payload["coords"], dtype=float)
-    if "payoff" in payload:
-        b.payoff = np.asarray(payload["payoff"], dtype=float)
-    if "n_components" in payload:
-        b.n_components = int(payload["n_components"])
-    if "rho" in payload:
-        b.rho = float(payload["rho"])
-    if "extras" in payload:
-        b.extras = dict(payload["extras"])
+    b, domain = ProblemBundle(), None
+    for key in [k for k in _KEYS if k in payload]:
+        spec = payload[key]
+        try:
+            if key == "domain":
+                domain = _load_domain(spec)
+            elif key == "product":
+                b.product_domain = Domain.product(_labels(spec, "x_labels"),
+                                                  _labels(spec, "y_labels"))
+            elif key == "dataset":
+                dom = (b.product_domain if spec.get("on_product") else
+                       domain if "labels" not in spec else
+                       Domain(_labels(spec, "labels")))
+                if dom is None:
+                    raise BundleError("dataset needs a domain")
+                b.dataset = Dataset(dom, _floats(spec["counts"]),
+                                    None if "weights" not in spec else
+                                    _floats(spec["weights"]))
+            elif key == "mdp":
+                b.mdp = TabularMDP.from_json(spec)
+            elif key == "rule":
+                b.atoms = {k: _floats(v) for k, v in spec["atoms"].items()}
+                b.rule = parse_rule(spec["expr"], tuple(b.atoms))
+                b.rule_weight = float(spec.get("weight", 1.0))
+            elif key == "source_model":
+                dom = Domain.product(_labels(spec, "x_labels"),
+                                     _labels(spec, "y_labels"))
+                b.source_model = ConditionalSoftmaxModel(
+                    _floats(spec["logits"]), dom)
+                if b.product_domain is None:
+                    b.product_domain = dom
+            elif key == "pool":
+                b.pool = Dataset(Domain(_labels(spec, "labels")),
+                                 _floats(spec["counts"]))
+            else:
+                setattr(b, key, _PLAIN[key](spec))
+        except (KeyError, TypeError, AttributeError, IndexError) as exc:
+            raise BundleError(f"bundle key {key!r} is malformed "
+                              f"({type(exc).__name__}: {exc})") from None
     return b

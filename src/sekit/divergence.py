@@ -59,16 +59,8 @@ KL = DivergenceFn("kl")
 JS = DivergenceFn("js")
 
 
-def _xlogy(x: np.ndarray, logy: np.ndarray) -> float:
-    """sum x_i * logy_i with 0 * (-inf) = 0; -inf where x > 0 and logy = -inf."""
-    mask = x > 0
-    if np.any(np.isneginf(logy[mask])):
-        return -np.inf
-    return float(x[mask] @ logy[mask])
-
-
 def cross_entropy(q: Dist, p: Dist) -> float:
-    return -_xlogy(q.p, p.logp)
+    return -q.expect(p.logp)
 
 
 def kl(q: Dist, p: Dist) -> float:

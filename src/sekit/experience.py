@@ -29,10 +29,6 @@ class DegenerateKernel(ValueError):
     pass
 
 
-class EmptyPool(ValueError):
-    pass
-
-
 class AtomOutOfRange(ValueError):
     pass
 
@@ -184,8 +180,6 @@ def f_active(pool: Dataset, labels: np.ndarray, u: np.ndarray,
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    if pool.counts.sum() < 1:
-        raise EmptyPool("pool is empty")
     nx, ny = product_domain.factor_sizes
     if pool.domain.size != nx:
         raise DomainMismatch("pool domain must match the X factor")
@@ -202,20 +196,8 @@ def f_active(pool: Dataset, labels: np.ndarray, u: np.ndarray,
 
 
 def selection_distribution(pool: Dataset, u: np.ndarray, lam: float) -> np.ndarray:
-    """Pool query distribution proportional to empirical(x) * exp{lam u(x)}.
-
-    At very large lam this degenerates to the argmax-u pool point (lowest
-    index on ties).
-    """
-    u = np.asarray(u, dtype=float)
-    scores = safe_log(pool.empirical()) + lam * u
-    if lam >= 1e5:
-        support = pool.counts > 0
-        best = np.max(u[support])
-        idx = next(i for i in range(pool.domain.size) if support[i] and u[i] == best)
-        sel = np.zeros(pool.domain.size)
-        sel[idx] = 1.0
-        return sel
+    """Pool query distribution proportional to empirical(x) * exp{lam u(x)}."""
+    scores = safe_log(pool.empirical()) + lam * np.asarray(u, dtype=float)
     return np.exp(scores - logsumexp(scores))
 
 

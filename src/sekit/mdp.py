@@ -17,7 +17,6 @@ matrix I - gamma T_pi is dense.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -109,9 +108,8 @@ class TabularMDP:
         return self._domain
 
     @classmethod
-    def from_json(cls, payload) -> "TabularMDP":
-        if isinstance(payload, str):
-            payload = json.loads(payload)
+    def from_json(cls, payload: dict) -> "TabularMDP":
+        """From a JSON object with P as [s, a, s', p] triples (repeats add)."""
         S = int(payload["states"])
         A = int(payload["actions"])
         P = np.zeros((S, A, S))
@@ -119,16 +117,6 @@ class TabularMDP:
             P[int(s), int(a), int(s2)] += float(prob)
         r = np.asarray(payload["rewards"], dtype=float).reshape(S, A)
         return cls(P, r, float(payload["gamma"]), np.asarray(payload["p0"], dtype=float))
-
-
-@dataclass(frozen=True)
-class QTable:
-    q: np.ndarray  # (S, A)
-    mdp: TabularMDP
-    policy: ConditionalSoftmaxModel
-
-    def bellman_residual(self) -> float:
-        return _residual(self.mdp, self.policy.probs(), self.q, self.mdp.rewards)
 
 
 def _backup(mdp: TabularMDP, rewards: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -191,15 +179,15 @@ def _q(mdp: TabularMDP, pi: np.ndarray, lu, rewards: np.ndarray) -> np.ndarray:
     return q
 
 
-def q_function(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> QTable:
-    """Exact Q of the policy from the state-space Bellman system.
+def q_function(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> np.ndarray:
+    """Exact (S, A) Q of the policy from the state-space Bellman system.
 
     Solves (I - gamma T_pi) V = sum_a pi r, then sets Q = r + gamma P V.
     Raises BellmanResidual if the result misses its Bellman equation by more
     than BELLMAN_TOL * max(1, max|Q|).
     """
     pi, lu = _evaluate(mdp, policy)
-    return QTable(_q(mdp, pi, lu, mdp.rewards), mdp, policy)
+    return _q(mdp, pi, lu, mdp.rewards)
 
 
 def visitation(mdp: TabularMDP, policy: ConditionalSoftmaxModel) -> np.ndarray:

@@ -3,10 +3,10 @@ plus the equivalence-check harness that compares each preset against an
 independent oracle implementation.
 
 One table, `_RECIPES`, holds every recipe: its frozen configuration, the
-bundle fields it requires, its runner, its oracle checks and whether it runs
-a fixed number of iterations.  `run_recipe` validates the bundle and calls the
-runner on the recipe's configuration; `check_equivalence` runs the named
-oracle's check and reports the result under the recipe's comparison contract.
+bundle fields it requires, its runner and its oracle checks.  `run_recipe`
+validates the bundle and calls the runner on the recipe's configuration;
+`check_equivalence` runs the named oracle's check and reports the result
+under the recipe's comparison contract.
 """
 from __future__ import annotations
 
@@ -59,8 +59,7 @@ class Recipe:
     `run_recipe` has checked that the bundle has every field in `requires`
     and that `run` takes every keyword in `params`.
     `checks` maps oracle name to check, default oracle first; `contract` is
-    the comparison mode of the default oracle.  For a `fixed_iters` recipe,
-    finishing the loop is success.
+    the comparison mode of the default oracle.
     """
 
     name: str
@@ -70,7 +69,6 @@ class Recipe:
     contract: str  # fixed-point | per-iteration | gradient-direction | trajectory | adversarial | smoke
     run: Callable[..., RecipeResult]
     checks: Dict[str, Callable]
-    fixed_iters: bool = False
 
     @property
     def default_oracle(self) -> str:
@@ -168,9 +166,9 @@ def _run_augmentation(config, bundle, seed) -> RecipeResult:
     return result
 
 
-def _run_active(config, bundle, seed, n_labels=None) -> RecipeResult:
+def _run_active(config, bundle, seed) -> RecipeResult:
     labels = bundle.oracle_labels
-    ny = n_labels if n_labels is not None else int(labels.max()) + 1
+    ny = int(labels.max()) + 1
     prod = Domain.product(bundle.pool.domain.labels,
                           tuple(f"y{j}" for j in range(ny)))
     fn = f_active(bundle.pool, labels, bundle.utility, bundle.select_lambda, prod)
@@ -236,8 +234,7 @@ def _run_policy_gradient(config, bundle, seed) -> RecipeResult:
     # Z = sum_sa mu(s) pi(a|s) exp f(s,a) over the unnormalized visitation, so
     # that the student gradient times Z is the exact policy gradient
     z = float(np.sum((mu[:, None] * policy.probs()).ravel() * np.exp(f_vals)))
-    result.extras.update(se_grad=grad_expected_log_prob(policy, q), z=z,
-                         f_vals=f_vals)
+    result.extras.update(se_grad=grad_expected_log_prob(policy, q), z=z)
     return result
 
 
@@ -256,26 +253,23 @@ def _run_rl_inference(config, bundle, seed, rho=None) -> RecipeResult:
     rho = bundle.rho if rho is None else rho
     result, f_vals, _ = _mdp_teacher(replace(config, alpha=rho, beta=rho),
                                      bundle, seed, f_reward(bundle.mdp, "q"))
-    result.extras.update(rho=rho, f_vals=f_vals)
+    result.extras["f_vals"] = f_vals
     return result
 
 
 def _run_distillation(config, bundle, seed) -> RecipeResult:
-    result = _mle_like(config, f_model_mimic(bundle.dataset, bundle.source_model))
-    result.extras = {"source": bundle.source_model}
-    return result
+    return _mle_like(config, f_model_mimic(bundle.dataset, bundle.source_model))
 
 
-def _run_gan(recipe, config, bundle, seed, iters=5000, tol=1e-3) -> RecipeResult:
+def _run_gan(recipe, config, bundle, seed, iters=5000) -> RecipeResult:
     """`adversarial_run`, with its defaults, from a seeded model."""
     n = bundle.p_data.size
     rng = np.random.default_rng(seed)
     model = SoftmaxModel(rng.normal(size=n) * 0.5, Domain.of_size(n))
     res = adversarial_run(recipe, bundle.p_data, model, iters=iters,
-                          coords=bundle.coords, tol=tol)
+                          coords=bundle.coords)
     return RecipeResult(res.model, res.trace, Dist(res.model.theta),
-                        extras={"discriminator": res.discriminator,
-                                "converged": res.trace.converged})
+                        extras={"discriminator": res.discriminator})
 
 
 def _run_mw(config, bundle, seed, alpha=None) -> RecipeResult:
@@ -475,10 +469,10 @@ def _check_policy_gradient(bundle, tol, seed):
 def _check_intrinsic(bundle, tol, seed):
     res = run_recipe("intrinsic-reward", bundle, seed)
     mdp = bundle.mdp
-    q_ex = q_function(mdp, res.model).q
+    q_ex = q_function(mdp, res.model)
     from .mdp import TabularMDP
     in_mdp = TabularMDP(mdp.transitions, res.extras["intrinsic"], mdp.gamma, mdp.p0)
-    q_in = q_function(in_mdp, res.model).q
+    q_in = q_function(in_mdp, res.model)
     total = q_ex + q_in + res.extras["offset"] / (1.0 - mdp.gamma)
     target = res.extras["p_sa"].p * total.ravel()
     target = target / target.sum()
@@ -515,13 +509,13 @@ def _check_vanilla_gan(bundle, tol, seed, iters=5000):
     target = oracles.gan_optimum(bundle.p_data.p, res.final_dist.p)
     sigma_dev = float(np.max(np.abs(sigma - target)))
     return max(tv, sigma_dev), {"final_tv": tv, "sigma_max_abs": sigma_dev,
-                                "converged": res.extras["converged"]}
+                                "converged": res.trace.converged}
 
 
 def _check_wgan(bundle, tol, seed, iters=3000):
     """The critic's objective against the brute-force W1, and the model:
     a run that ends above its TV tolerance fails with infinite deviation."""
-    res = run_recipe("wgan", bundle, seed, iters=iters, tol=1e-3)
+    res = run_recipe("wgan", bundle, seed, iters=iters)
     disc = res.extras["discriminator"]
     f = disc.f_values()
     critic_obj = float(bundle.p_data.p @ f - res.final_dist.p @ f)
@@ -529,17 +523,17 @@ def _check_wgan(bundle, tol, seed, iters=3000):
               else np.arange(bundle.p_data.size, dtype=float))
     exact = oracles.brute_force_w1(res.final_dist.p, bundle.p_data.p, coords)
     rel = abs(critic_obj - exact) / max(exact, 1e-12) if exact > 1e-9 else abs(critic_obj - exact)
-    converged = res.extras["converged"]
+    converged = res.trace.converged
     return (rel if converged else np.inf), {
         "critic_objective": critic_obj, "model_w1": exact, "converged": converged,
         "final_tv": res.final_dist.tv(bundle.p_data)}
 
 
-def _check_ppo_gan(bundle, tol, seed, instances=100):
+def _check_ppo_gan(bundle, tol, seed):
     """Reweighted-vs-explicit discriminator gradient identity on random pairs."""
     rng = np.random.default_rng(seed)
     n = bundle.p_data.size
-    worst = 0.0
+    worst, instances = 0.0, 100
     for _ in range(instances):
         model = SoftmaxModel(rng.normal(size=n), Domain.of_size(n))
         disc = Discriminator(rng.normal(size=n), "classifier")
@@ -593,7 +587,7 @@ _RECIPES: Dict[str, Recipe] = {r.name: r for r in [
            "Latent-variable likelihood via the q(x,y) = data(x) q(y|x) "
            "decomposition at alpha=beta=1: exactly EM.",
            ("dataset",), _EM, "per-iteration", _run_unsupervised,
-           {"hand-em": _check_em}, fixed_iters=True),
+           {"hand-em": _check_em}),
     Recipe("data-reweighting",
            "Instance-weighted MLE: f = log(weighted empirical frequency).",
            ("dataset",), _MLE, "fixed-point", _run_reweighting,
@@ -612,28 +606,28 @@ _RECIPES: Dict[str, Recipe] = {r.name: r for r in [
            "Rule-constrained posterior at alpha=beta=1: "
            "q(y|x) tilts the model posterior by exp(lambda rule).",
            ("dataset", "rule"), _EM, "per-iteration", _run_posterior_reg,
-           {"enumeration": _check_posterior_reg}, fixed_iters=True),
+           {"enumeration": _check_posterior_reg}),
     Recipe("unified-em",
            "EM with a free entropy weight alpha; alpha=1 is classical EM, "
            "other alphas anneal the posterior.",
            ("dataset",), _EM, "smoke", _run_unsupervised,
-           {"hand-em": _check_unified_em}, fixed_iters=True),
+           {"hand-em": _check_unified_em}),
     Recipe("policy-gradient",
            "f = log Q at alpha=beta=1: the student gradient is the exact "
            "policy gradient scaled by 1/Z.",
            ("mdp",), _UNIT, "gradient-direction", _run_policy_gradient,
            {"exact-pg": _check_policy_gradient,
-            "reinforce": _check_policy_gradient}, fixed_iters=True),
+            "reinforce": _check_policy_gradient}),
     Recipe("intrinsic-reward",
            "f = log(Q_extrinsic + Q_intrinsic): reward shaping inside the "
            "same teacher.",
            ("mdp",), _UNIT, "per-iteration", _run_intrinsic,
-           {"enumeration": _check_intrinsic}, fixed_iters=True),
+           {"enumeration": _check_intrinsic}),
     Recipe("rl-as-inference",
            "f = Q at alpha=beta=rho: the teacher is the exponentiated-Q "
            "posterior p exp(Q/rho)/Z.",
            ("mdp",), _UNIT, "per-iteration", _run_rl_inference,
-           {"enumeration": _check_rl_inference}, fixed_iters=True),
+           {"enumeration": _check_rl_inference}),
     Recipe("knowledge-distillation",
            "f scores (x, y) by a frozen source model's log-likelihood on "
            "observed inputs; the student mimics the source.",
@@ -656,13 +650,12 @@ _RECIPES: Dict[str, Recipe] = {r.name: r for r in [
            "Online expert weighting p <- p exp(reward/alpha)/Z, all rounds "
            "in one log-space pass over cumulative rewards; checked against "
            "a round-by-round Hedge.",
-           ("rewards",), _UNIT, "trajectory", _run_mw, {"hedge": _check_mw},
-           fixed_iters=True),
+           ("rewards",), _UNIT, "trajectory", _run_mw, {"hedge": _check_mw}),
     Recipe("interpolation-schedule",
            "Anneal from data experience (beta=epsilon) through payoff "
            "augmentation to pure reward (beta=1).",
            ("dataset", "payoff"), _MLE, "smoke", _run_interpolation,
-           {"none": _check_interpolation}, fixed_iters=True),
+           {"none": _check_interpolation}),
 ]}
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -206,6 +207,24 @@ class TestRun:
         assert code == 2
         assert "classifier polish" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("recipe, bundle, word", [
+        ("supervised-mle", {"dataset": {"labels": ["a", "b"]}}, "'dataset'"),
+        ("supervised-mle", [[1]], "JSON object"),
+        ("policy-gradient", {"mdp": {"states": 2}}, "'mdp'"),
+        ("supervised-mle", {"dataset": {"labels": ["a", "b"],
+                                        "counts": {"a": 1}}}, "'dataset'"),
+    ])
+    def test_malformed_bundle_exits_one(self, tmp_path, capsys, recipe,
+                                        bundle, word):
+        (tmp_path / "bundle.json").write_text(json.dumps(bundle))
+        cfg = {"recipe": recipe, "problem": "bundle.json"}
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert word in err[0]
+
     def test_unknown_param_exits_one(self, workspace, capsys):
         cfg = {"recipe": "supervised-mle", "problem": "toy.json",
                "params": {"iters": 3}}
@@ -370,6 +389,25 @@ class TestSweep:
         assert rows[0].split(",")[2] == "ok"
         assert rows[1].split(",")[2].startswith(
             "failed: params.iters_per_stage must be a number")
+
+    def test_summary_keeps_a_list_valued_cell_in_one_field(self, tmp_path):
+        cfg = {"recipe": "unsupervised-mle", "seed": 0, "params": {"iters": 3},
+               "problem": {"dataset": {"labels": list("abcde"),
+                                       "counts": [12, 8, 15, 5, 10]}},
+               "grid": {"params.init_mix": [[-0.5, -1.0], [-1.0, -0.5]],
+                        "seed": [0, 1]}}
+        (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(tmp_path / "sweep.json"),
+                     "--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["cell", "params.init_mix", "seed", "status",
+                           "final_total"]
+        assert len(rows) == 5
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert [row[1] for row in rows[1:3]] == ["[-0.5, -1.0]"] * 2
+        assert {row[3] for row in rows[1:]} == {"ok"}
 
     def test_non_object_params_cell_fails(self, tmp_path):
         # each cell passes the same validation as a `run` config

@@ -112,10 +112,15 @@ class TestActive:
         assert np.max(np.abs(sel - expected)) <= 1e-12
 
     def test_selection_degenerates_to_argmax(self):
+        # the mass concentrates on argmax u, split among ties by empirical
+        # weight, with no jump at any lambda
         pool = Dataset(Domain.of_size(4), np.array([1.0, 2.0, 3.0, 4.0]))
         u = np.array([0.1, 0.9, 0.9, 0.2])
-        sel = selection_distribution(pool, u, 1e6)
-        assert sel[1] == 1.0  # lowest index among ties
+        # scores near 1e6 * 0.9 carry a rounding of ulp(9e5) ~ 1.2e-10
+        assert np.allclose(selection_distribution(pool, u, 1e6),
+                           [0.0, 0.4, 0.6, 0.0], rtol=0, atol=1e-9)
+        assert np.array_equal(selection_distribution(pool, u, 99999.0),
+                              selection_distribution(pool, u, 1e5))
 
     def test_f_active_structure(self):
         pool = Dataset(Domain.of_size(3), np.array([1.0, 1.0, 2.0]))

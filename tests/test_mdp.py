@@ -1,5 +1,4 @@
 import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +47,10 @@ SPARSE_CASES = {  # (S, A, successors per row, absorbing state)
 }
 
 
+def bellman_residual(mdp, policy, q):
+    return mdp_module._residual(mdp, policy.probs(), q, mdp.rewards)
+
+
 def within(got, want, rel):
     return np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
 
@@ -78,19 +81,18 @@ class TestTabularMDP:
                    "transitions": [[0, 0, 1, 1.0], [0, 1, 0, 0.25],
                                    [0, 1, 1, 0.75], [1, 0, 1, 0.5],
                                    [1, 0, 1, 0.5], [1, 1, 0, 1.0]]}
-        for given in (payload, json.dumps(payload)):
-            mdp = TabularMDP.from_json(given)
-            assert mdp.transitions.tolist() == [[[0.0, 1.0], [0.25, 0.75]],
-                                                [[0.0, 1.0], [1.0, 0.0]]]
-            assert mdp.rewards.tolist() == [[1.0, 0.0], [0.0, 2.0]]
-            assert mdp.gamma == 0.5
-            assert mdp.p0.tolist() == [1.0, 0.0]
+        mdp = TabularMDP.from_json(payload)
+        assert mdp.transitions.tolist() == [[[0.0, 1.0], [0.25, 0.75]],
+                                            [[0.0, 1.0], [1.0, 0.0]]]
+        assert mdp.rewards.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+        assert mdp.gamma == 0.5
+        assert mdp.p0.tolist() == [1.0, 0.0]
 
-            # the sparse row view of P as a 4 x 2 matrix
-            assert mdp.p_rows.tolist() == [0, 1, 1, 2, 3]
-            assert mdp.p_cols.tolist() == [1, 0, 1, 1, 0]
-            assert mdp.p_vals.tolist() == [1.0, 0.25, 0.75, 1.0, 1.0]
-            assert mdp.p_starts.tolist() == [0, 1, 3, 4]
+        # the sparse row view of P as a 4 x 2 matrix
+        assert mdp.p_rows.tolist() == [0, 1, 1, 2, 3]
+        assert mdp.p_cols.tolist() == [1, 0, 1, 1, 0]
+        assert mdp.p_vals.tolist() == [1.0, 0.25, 0.75, 1.0, 1.0]
+        assert mdp.p_starts.tolist() == [0, 1, 3, 4]
 
     def test_domain(self, small_mdp):
         dom = small_mdp.domain()
@@ -143,25 +145,27 @@ class TestSparseKernels:
         q = r + gamma * P @ np.linalg.solve(system, (pi * r).sum(axis=1))
         mu = np.linalg.solve(system.T, mdp.p0)
         grad = mu[:, None] * pi * (q - (pi * q).sum(axis=1, keepdims=True))
-        assert within(q_function(mdp, policy).q, q, 1e-12)
+        assert within(q_function(mdp, policy), q, 1e-12)
         assert within(visitation(mdp, policy), mu, 1e-12)
         assert within(exact_policy_gradient(mdp, policy), grad, 1e-12)
 
 
 class TestQFunction:
     def test_bellman_residual(self, small_mdp, rng):
-        table = q_function(small_mdp, random_policy(small_mdp, rng))
-        assert table.bellman_residual() <= 1e-8
+        policy = random_policy(small_mdp, rng)
+        q = q_function(small_mdp, policy)
+        assert q.shape == (4, 2)
+        assert bellman_residual(small_mdp, policy, q) <= 1e-8
 
     def test_matches_value_iteration(self, small_mdp, rng):
         policy = random_policy(small_mdp, rng)
         table = q_function(small_mdp, policy)
         pi = policy.probs()
-        q = np.zeros_like(table.q)
+        q = np.zeros_like(table)
         for _ in range(5000):
             v = (pi * q).sum(axis=1)
             q = small_mdp.rewards + small_mdp.gamma * small_mdp.transitions @ v
-        assert np.max(np.abs(q - table.q)) <= 1e-9
+        assert np.max(np.abs(q - table)) <= 1e-9
 
     def test_large_mdp_matches_value_iteration(self):
         # S*A = 4800, where an (S*A) x (S*A) operator would take 184 MB
@@ -175,13 +179,13 @@ class TestQFunction:
         mdp = TabularMDP(P, g.random((S, A)), 0.9, np.ones(S) / S)
         policy = random_policy(mdp, g)
         table = q_function(mdp, policy)
-        assert table.bellman_residual() <= 1e-10
+        assert bellman_residual(mdp, policy, table) <= 1e-10
         pi = policy.probs()
         P2 = mdp.transitions.reshape(S * A, S)
         q = np.zeros((S, A))
         for _ in range(300):  # 0.9**300 * max|Q| is far below 1e-9
             q = mdp.rewards + mdp.gamma * (P2 @ (pi * q).sum(axis=1)).reshape(S, A)
-        assert np.max(np.abs(q - table.q)) <= 1e-9
+        assert np.max(np.abs(q - table)) <= 1e-9
 
     @pytest.mark.parametrize("broken", [lambda x: x + 1e-3,
                                         lambda x: np.full_like(x, np.nan)],
@@ -204,10 +208,11 @@ class TestQFunction:
         g = np.random.default_rng(seed)
         P = g.dirichlet(np.ones(3), size=(3, 2))
         mdp = TabularMDP(P, -1e9 + g.random((3, 2)), 0.9, np.ones(3) / 3)
-        table = q_function(mdp, random_policy(mdp, g))
-        scale = np.max(np.abs(table.q))
-        assert table.bellman_residual() <= BELLMAN_TOL * scale
-        assert np.all(np.abs(table.q + 1e10) <= 10.0)  # -1e9 / (1 - 0.9)
+        policy = random_policy(mdp, g)
+        q = q_function(mdp, policy)
+        scale = np.max(np.abs(q))
+        assert bellman_residual(mdp, policy, q) <= BELLMAN_TOL * scale
+        assert np.all(np.abs(q + 1e10) <= 10.0)  # -1e9 / (1 - 0.9)
 
 
 class TestVisitation:
@@ -281,7 +286,7 @@ class TestFReward:
         policy = random_policy(small_mdp, rng)
         f = f_reward(small_mdp, "q")
         assert np.max(np.abs(f.values(policy) -
-                             q_function(small_mdp, policy).q.ravel())) <= 1e-12
+                             q_function(small_mdp, policy).ravel())) <= 1e-12
 
     def test_log_mode_offset(self, rng):
         g = np.random.default_rng(1)
@@ -294,7 +299,7 @@ class TestFReward:
         assert np.all(np.isfinite(v))
         c = f.diagnostics["reward_offset"]
         assert c > 0
-        shifted = q_function(mdp, policy).q + c / (1.0 - mdp.gamma)
+        shifted = q_function(mdp, policy) + c / (1.0 - mdp.gamma)
         assert np.max(np.abs(np.exp(v) - shifted.ravel())) <= 1e-8
 
     def test_offset_lost_to_rounding_raises(self):
@@ -311,10 +316,10 @@ class TestFReward:
         intrinsic = np.full((4, 2), 0.2)
         f = f_reward(small_mdp, "q_plus_intrinsic", intrinsic_rewards=intrinsic)
         v = f.values(policy)
-        q_ex = q_function(small_mdp, policy).q
+        q_ex = q_function(small_mdp, policy)
         in_mdp = TabularMDP(small_mdp.transitions, intrinsic, small_mdp.gamma,
                             small_mdp.p0)
-        q_in = q_function(in_mdp, policy).q
+        q_in = q_function(in_mdp, policy)
         total = q_ex + q_in + f.diagnostics["reward_offset"] / (1 - small_mdp.gamma)
         assert np.max(np.abs(np.exp(v) - total.ravel())) <= 1e-8
 

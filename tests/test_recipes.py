@@ -82,12 +82,16 @@ class TestValidation:
         assert issubclass(IncompatiblePair, ValueError)
 
     @pytest.mark.parametrize("name", ["disc_steps", "disc_step_size",
-                                      "model_step_size", "clip"])
+                                      "model_step_size", "clip", "tol"])
     @pytest.mark.parametrize("recipe", ["vanilla-gan", "wgan", "ppo-gan"])
     def test_gan_takes_no_step_parameters(self, gan_target, recipe, name):
         # adversarial_run's own values are the only ones a recipe runs
         with pytest.raises(IncompatiblePair, match=f"no parameter '{name}'"):
             run_recipe(recipe, ProblemBundle(p_data=gan_target), 1, **{name: 1.0})
+
+    def test_active_learning_reads_the_label_count_from_its_labels(self):
+        with pytest.raises(IncompatiblePair, match="no parameter 'n_labels'"):
+            run_recipe("active-learning", ProblemBundle(), n_labels=3)
 
     def test_negative_alpha_raises(self, mixture_bundle):
         # at alpha < 0 the teacher would anti-tilt: EM must not run with it
@@ -116,6 +120,16 @@ class TestValidation:
         # the rule's weight is set only as rule.weight
         with pytest.raises(BundleError, match=f"unknown bundle keys: {key}$"):
             load_bundle({"domain": 2, key: value})
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"pool": [1, 2]}, "pool"),
+        ({"rule": {"atoms": {"A": [0.5]}, "expr": ["atom", "B"]}}, "rule"),
+        ({"rho": None}, "rho"),
+    ])
+    def test_malformed_bundle_names_its_key(self, payload, key):
+        # tests/test_cli.py runs the dataset, mdp and non-object cases
+        with pytest.raises(BundleError, match=f"^bundle key '{key}'"):
+            load_bundle(payload)
 
     def test_bundle_rule_weight(self):
         b = load_bundle({"domain": 2, "rule": {

@@ -156,7 +156,6 @@ _TEST_ONLY = {
     "divergence_grad_q": "analytic q-gradients the divergence tests check",
     "entropy_grad": "the analytic entropy gradient the acceptance test checks",
     "policy_value": "J, which the policy-gradient test differentiates",
-    "bellman_residual": "the MDP tests' check of the policy-evaluation solve",
 }
 
 
