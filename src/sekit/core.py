@@ -119,10 +119,12 @@ class Dist:
     """An exact probability vector with a consistent log-space companion.
 
     p_i >= 0, sums to 1 within 1e-9; logp_i = -inf exactly where p_i = 0.
-    Immutable after construction.
+    Immutable after construction.  Its support (the mask p > 0 and p on it)
+    is computed on first use and kept, so every expectation under it, and
+    its entropy, reads one copy.
     """
 
-    __slots__ = ("logp", "p")
+    __slots__ = ("logp", "p", "_on")
 
     def __init__(self, logp: np.ndarray, _p: Optional[np.ndarray] = None):
         logp = np.asarray(logp, dtype=float)
@@ -165,6 +167,18 @@ class Dist:
     def size(self) -> int:
         return self.p.shape[0]
 
+    def _support(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The read-only mask p > 0 and p on it, computed on the first call."""
+        try:
+            return self._on
+        except AttributeError:
+            mask = self.p > 0
+            on = self.p[mask]
+            mask.flags.writeable = False
+            on.flags.writeable = False
+            object.__setattr__(self, "_on", (mask, on))
+            return mask, on
+
     @classmethod
     def from_probs(cls, p) -> "Dist":
         p = np.asarray(p, dtype=float)
@@ -185,11 +199,11 @@ class Dist:
 
     def expect(self, values: np.ndarray) -> float:
         """E[values] with the 0 * (-inf) = 0 convention on zero-mass points."""
-        values = np.asarray(values, dtype=float)
-        mask = self.p > 0
-        if (values[mask] == -np.inf).any():
+        mask, on = self._support()
+        values = np.asarray(values, dtype=float)[mask]
+        if (values == -np.inf).any():
             return -np.inf
-        return float(self.p[mask] @ values[mask])
+        return float(on @ values)
 
     def __repr__(self):
         return f"Dist({np.array2string(self.p, precision=6)})"
@@ -223,8 +237,8 @@ def normalize_log(scores) -> Dist:
 
 def entropy(q: Dist) -> float:
     """Shannon entropy -sum q log q, with 0 log 0 = 0."""
-    mask = q.p > 0
-    return float(-(q.p[mask] @ q.logp[mask]))
+    mask, on = q._support()
+    return float(-(on @ q.logp[mask]))
 
 
 def entropy_grad(q: Dist) -> np.ndarray:

@@ -147,7 +147,8 @@ def f_data_weighted(dataset: Dataset) -> ExperienceFn:
 def f_data_augmented(dataset: Dataset, kernel: np.ndarray) -> ExperienceFn:
     """f(t) = log E_{t* ~ D}[a_{t*}(t)] for a similarity kernel a (rows: t*).
 
-    With a_{t*}(t) proportional to exp{R(t, t*)} this is the RAML experience.
+    With a_{t*}(t) proportional to exp{R(t, t*)} this is the RAML experience,
+    which `f_data_raml` computes from the payoff without building the kernel.
     """
     kernel = np.asarray(kernel, dtype=float)
     n = dataset.domain.size
@@ -162,13 +163,67 @@ def f_data_augmented(dataset: Dataset, kernel: np.ndarray) -> ExperienceFn:
     return ExperienceFn.from_vector(dataset.domain, safe_log(smoothed))
 
 
+def _exp_rows(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Overwrite each payoff row R[t*] in `block` with exp(R[t*] - max R[t*])
+    and return the row sums Z[t*]; `rows` holds the t* of each row.
+
+    The row maxima are the whole validation: a nan is its row's max, so is a
+    +inf (ValueError), and a max of -inf is a row of -inf, which has no
+    kernel row (DegenerateKernel).  Every other -inf entry gets weight 0.
+    """
+    top = np.maximum.reduce(block, axis=1)
+    bad = np.flatnonzero(~(top < np.inf))  # written so that a nan fails it
+    if bad.size:
+        raise ValueError(f"payoff row t* = {rows[bad[0]]} holds nan or +inf; "
+                         "payoff entries must be in [-inf, finite]")
+    dead = np.flatnonzero(top == -np.inf)
+    if dead.size:
+        raise DegenerateKernel(f"payoff row t* = {rows[dead[0]]} is all -inf")
+    block -= top[:, None]
+    np.exp(block, out=block)
+    return np.add.reduce(block, axis=1)
+
+
 def raml_kernel(payoff: np.ndarray) -> np.ndarray:
     """Row-normalized exp{R(t, t*)} kernel from a payoff matrix R[t*, t]."""
-    payoff = np.asarray(payoff, dtype=float)
-    k = payoff - payoff.max(axis=1, keepdims=True)
-    np.exp(k, out=k)
-    k /= k.sum(axis=1, keepdims=True)
+    k = np.array(payoff, dtype=float)
+    k /= _exp_rows(k, np.arange(k.shape[0]))[:, None]
     return k
+
+
+_BLOCK_ENTRIES = 1 << 17  # 1 MB of float64: the payoff rows exponentiated at once
+
+
+def f_data_raml(dataset: Dataset, payoff: np.ndarray) -> ExperienceFn:
+    """The RAML experience (Norouzi et al., "Reward Augmented Maximum
+    Likelihood", NeurIPS 2016): f(t) = log E_{t* ~ D}[a_{t*}(t)] with
+    a_{t*}(t) = exp R[t*, t] / Z[t*], read from the payoff R without
+    building the N x N kernel.
+
+    Only the rows of observed t* are read, a block of them at a time: each
+    block is shifted and exponentiated into one reused buffer of about 1 MB,
+    and added into f with emp(t*) / Z[t*] as its weight.  A nan or +inf in
+    an observed row raises ValueError, and an observed row of -inf raises
+    DegenerateKernel.
+    """
+    payoff = np.asarray(payoff, dtype=float)
+    n = dataset.domain.size
+    if payoff.shape != (n, n):
+        raise ValueError("payoff must be N x N (rows indexed by t*)")
+    observed = np.flatnonzero(dataset.counts)
+    weights = dataset.counts[observed] / dataset.n_data
+    height = max(1, _BLOCK_ENTRIES // n)
+    buffer = np.empty((min(height, observed.size), n))
+    smoothed = np.zeros(n)
+    for start in range(0, observed.size, height):
+        rows = observed[start:start + height]
+        block = buffer[:rows.size]
+        # "clip" writes into `block` directly ("raise" would buffer); the
+        # rows are in range
+        np.take(payoff, rows, axis=0, out=block, mode="clip")
+        z = _exp_rows(block, rows)
+        smoothed += (weights[start:start + height] / z) @ block
+    return ExperienceFn.from_vector(dataset.domain, safe_log(smoothed))
 
 
 def f_active(pool: Dataset, labels: np.ndarray, u: np.ndarray,
@@ -184,8 +239,13 @@ def f_active(pool: Dataset, labels: np.ndarray, u: np.ndarray,
     if pool.domain.size != nx:
         raise DomainMismatch("pool domain must match the X factor")
     u = np.asarray(u, dtype=float)
+    labels = np.asarray(labels)
+    for name, arr in (("oracle_labels", labels), ("utility", u)):
+        if arr.shape != (nx,):
+            raise DomainMismatch(f"{name} has shape {arr.shape}; the pool "
+                                 f"has {nx} points")
     observed = np.flatnonzero(pool.counts)
-    y = np.asarray(labels)[observed].astype(int)
+    y = labels[observed].astype(int)
     bad = (y < 0) | (y >= ny)
     if bad.any():
         raise DomainMismatch(f"oracle label {y[bad][0]} outside Y")

@@ -109,12 +109,22 @@ class TabularMDP:
 
     @classmethod
     def from_json(cls, payload: dict) -> "TabularMDP":
-        """From a JSON object with P as [s, a, s', p] triples (repeats add)."""
+        """From a JSON object with P as [s, a, s', p] rows (repeats add, in
+        order).  A state outside [0, S) or an action outside [0, A) raises
+        IndexError, a negative one included."""
         S = int(payload["states"])
         A = int(payload["actions"])
+        rows = np.asarray(payload["transitions"], dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise TypeError("transitions must be a list of [s, a, s', p] rows")
+        index = rows[:, :3]
+        outside = ~((index >= 0) & (index < (S, A, S))).all(axis=1)  # nan too
+        if outside.any():
+            s, a, s2 = index[outside][0]
+            raise IndexError(f"transition [{s:g}, {a:g}, {s2:g}] leaves "
+                             f"{S} states x {A} actions")
         P = np.zeros((S, A, S))
-        for s, a, s2, prob in payload["transitions"]:
-            P[int(s), int(a), int(s2)] += float(prob)
+        np.add.at(P, tuple(index.astype(int).T), rows[:, 3])  # unbuffered: in order
         r = np.asarray(payload["rewards"], dtype=float).reshape(S, A)
         return cls(P, r, float(payload["gamma"]), np.asarray(payload["p0"], dtype=float))
 

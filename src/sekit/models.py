@@ -4,11 +4,14 @@ Three families: a flat softmax over a domain, a row-wise conditional softmax
 (policy), and a latent-variable mixture.  All are value types; updates return
 new models.  The softmax and the mixture have an exact student (`exact_fit`);
 the softmax and the conditional model have a gradient student (`fit_to`).
+A model computes each derived array (its log-probabilities, its
+distribution) once, on first use, and keeps it read-only.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -25,6 +28,26 @@ class NonFiniteGradient(ValueError):
 
 def _log_softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     return v - logsumexp(v, axis=axis, keepdims=True)
+
+
+def _derived(method):
+    """Compute a frozen model's derived value on the first call and keep it
+    on the instance, an array read-only.  It is kept outside the dataclass
+    fields, so `==`, `replace` and `solver._same_parameters` still read only
+    the parameters."""
+    key = f"_{method.__name__}"
+
+    @functools.wraps(method)
+    def cached(self):
+        value = self.__dict__.get(key)
+        if value is None:
+            value = method(self)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self.__dict__[key] = value  # frozen: bypass __setattr__
+        return value
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -48,9 +71,11 @@ class SoftmaxModel:
     def zeros(cls, domain: Domain) -> "SoftmaxModel":
         return cls(np.zeros(domain.size), domain)
 
+    @_derived
     def log_probs(self) -> np.ndarray:
         return _log_softmax(self.theta)
 
+    @_derived
     def dist(self) -> Dist:
         return Dist(self.log_probs())
 
@@ -74,10 +99,12 @@ class ConditionalSoftmaxModel:
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
 
+    @_derived
     def log_probs(self) -> np.ndarray:
         """|X| x |Y| matrix of log p(y|x)."""
         return _log_softmax(self.theta, axis=1)
 
+    @_derived
     def probs(self) -> np.ndarray:
         return np.exp(self.log_probs())
 
@@ -117,6 +144,7 @@ class MixtureModel:
         object.__setattr__(self, "mixture_logits", mix)
         object.__setattr__(self, "component_logits", comp)
 
+    @_derived
     def log_joint(self) -> np.ndarray:
         """|X| x K matrix of log p(x, y)."""
         log_pi = _log_softmax(self.mixture_logits)  # (K,)
@@ -127,6 +155,7 @@ class MixtureModel:
         """Flattened log joint with t = x * K + y."""
         return self.log_joint().ravel()
 
+    @_derived
     def dist(self) -> Dist:
         return Dist(self.log_probs())
 
@@ -147,21 +176,23 @@ def grad_expected_log_prob(model: Model, q: Dist) -> np.ndarray:
     only the conditional part contributes; q lives on the product domain.
     The mixture has no gradient here: its student is `exact_fit`.
     """
-    return _grad_at(model, q, model.log_probs())
+    return _gradient(model, q)(model.log_probs())
 
 
-def _grad_at(model: Model, q: Dist, log_probs: np.ndarray) -> np.ndarray:
+def _gradient(model: Model, q: Dist) -> Callable[[np.ndarray], np.ndarray]:
+    """`grad_expected_log_prob` as a function of the model's log-probabilities,
+    with what depends on q alone (the conditional's q_x) computed once."""
     if isinstance(model, SoftmaxModel):
         if q.size != model.domain.size:
             raise ShapeMismatch("q does not match the model domain")
-        return q.p - np.exp(log_probs)
+        return lambda log_probs: q.p - np.exp(log_probs)
     if isinstance(model, ConditionalSoftmaxModel):
         nx, ny = model.domain.factor_sizes
         if q.size != nx * ny:
             raise ShapeMismatch("q does not match the product domain")
         q_xy = q.p.reshape(nx, ny)
-        q_x = q_xy.sum(axis=1)
-        return q_xy - q_x[:, None] * np.exp(log_probs)
+        q_x = q_xy.sum(axis=1)[:, None]
+        return lambda log_probs: q_xy - q_x * np.exp(log_probs)
     raise TypeError(f"unsupported model type {type(model)!r}")
 
 
@@ -190,14 +221,16 @@ def fit_to(model: Model, q: Dist, steps: int = 100, step_size: float = 1.0) -> M
 
     Any family with a `grad_expected_log_prob` (softmax, conditional) can be
     fitted; a mixture raises TypeError.  A candidate's `log_probs()` give its
-    objective and, once it is accepted, the next gradient.
+    objective and, once it is accepted, the next gradient; q's part of the
+    gradient, and its support for the objective, are computed once.
     """
     if steps < 0 or step_size <= 0:
         raise ValueError("steps >= 0 and step_size > 0 required")
+    gradient = _gradient(model, q)
     current, log_probs = model, model.log_probs()
     obj = q.expect(log_probs.ravel())
     for _ in range(steps):
-        grad = _grad_at(current, q, log_probs)
+        grad = gradient(log_probs)
         if not np.all(np.isfinite(grad)):
             raise NonFiniteGradient("gradient has non-finite entries")
         eta = step_size

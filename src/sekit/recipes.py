@@ -24,9 +24,9 @@ from .adversarial import (Discriminator, adversarial_run,
                           discriminator_gradient, tilted_q)
 from .bundles import ProblemBundle
 from .core import Dist, Domain, safe_log
-from .experience import (ExperienceFn, f_active, f_data, f_data_augmented,
+from .experience import (ExperienceFn, f_active, f_data, f_data_raml,
                          f_data_self, f_data_weighted, f_model_mimic,
-                         raml_kernel, selection_distribution)
+                         selection_distribution)
 from .mdp import (exact_policy_gradient, f_reward, q_function,
                   reward_and_visitation)
 from .models import (ConditionalSoftmaxModel, MixtureModel, SoftmaxModel,
@@ -156,7 +156,7 @@ def _run_reweighting(config, bundle, seed) -> RecipeResult:
 
 
 def _run_augmentation(config, bundle, seed) -> RecipeResult:
-    fn = f_data_augmented(bundle.dataset, raml_kernel(bundle.payoff))
+    fn = f_data_raml(bundle.dataset, bundle.payoff)
     result = _mle_like(config, fn)
     # first teacher from a uniform model: the model term is constant, so this
     # is the pure exponentiated-payoff mixture
@@ -292,7 +292,7 @@ def _run_interpolation(config, bundle, seed, iters_per_stage=10) -> RecipeResult
     reward = np.asarray(bundle.extras.get("reward", bundle.payoff.mean(axis=0)),
                         dtype=float)
     fn_data = f_data(bundle.dataset)
-    fn_aug = f_data_augmented(bundle.dataset, raml_kernel(bundle.payoff))
+    fn_aug = f_data_raml(bundle.dataset, bundle.payoff)
     fn_reward = ExperienceFn.from_vector(dom, reward)
     k = iters_per_stage
     plan = [

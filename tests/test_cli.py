@@ -213,6 +213,18 @@ class TestRun:
         ("policy-gradient", {"mdp": {"states": 2}}, "'mdp'"),
         ("supervised-mle", {"dataset": {"labels": ["a", "b"],
                                         "counts": {"a": 1}}}, "'dataset'"),
+        ("active-learning", {"pool": {"labels": ["a", "b", "c"],
+                                      "counts": [1, 2, 3]},
+                             "oracle_labels": [0, 1], "utility": [0, 0, 0]},
+         "oracle_labels"),
+        ("active-learning", {"pool": {"labels": ["a", "b", "c"],
+                                      "counts": [1, 2, 3]},
+                             "oracle_labels": [0, 1, 1], "utility": [0, 0]},
+         "utility"),
+        ("policy-gradient", {"mdp": {
+            "states": 2, "actions": 1, "gamma": 0.5, "p0": [1, 0],
+            "rewards": [1, 1], "transitions": [[0, 0, -1, 1.0],
+                                               [1, 0, 1, 1.0]]}}, "'mdp'"),
     ])
     def test_malformed_bundle_exits_one(self, tmp_path, capsys, recipe,
                                         bundle, word):

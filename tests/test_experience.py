@@ -13,8 +13,8 @@ from sekit.experience import (AllZeroWeights, Atom, AtomOutOfRange, Avg, Const,
                               EmptyCombination, EmptyDataset, ExperienceFn,
                               Implies, Not, Or, SplitOutOfRange, StrongAnd,
                               combine, eval_soft_logic, f_active, f_data,
-                              f_data_augmented, f_data_self, f_data_weighted,
-                              f_model_mimic, f_rule,
+                              f_data_augmented, f_data_raml, f_data_self,
+                              f_data_weighted, f_model_mimic, f_rule,
                               parse_rule, raml_kernel, selection_distribution)
 from sekit.models import ConditionalSoftmaxModel
 
@@ -101,6 +101,75 @@ class TestDataExperience:
         assert np.max(np.abs(k.sum(axis=1) - 1.0)) <= 300 * np.finfo(float).eps
 
 
+def _raml_payoff(rng, n):
+    """A seeded payoff with rows at the 1e5 scale, -inf entries and ties,
+    and a dataset whose zero-count rows are about half the domain."""
+    R = rng.normal(size=(n, n)) * 4.0
+    big = rng.choice(n, max(2, n // 5), replace=False)
+    R[big[::2]] = 1e5 + rng.normal(size=(big[::2].size, n))
+    R[big[1::2]] *= 1e5
+    R[rng.random((n, n)) < 0.2] = -np.inf
+    R[:, 0] = 0.0  # no row is all -inf
+    ties = rng.choice(n, max(1, n // 5), replace=False)
+    R[ties] = np.round(R[ties])
+    counts = rng.integers(1, 4, n).astype(float)
+    counts[rng.random(n) < 0.5] = 0.0
+    counts[0] = 1.0
+    return Dataset(Domain.of_size(n), counts), R
+
+
+class TestRaml:
+    # c = 8: each side rounds every term twice (its weight and the product)
+    # and sums non-negative terms, then takes the same log; the worst seen
+    # over 40 seeded payoffs (N up to 1500, up to 611 observed rows, so up
+    # to 5 blocks) was 1.94 eps * max(1, |f|)
+    C = 8
+
+    @pytest.mark.parametrize("n", [7, 1000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_streamed_matches_the_kernel(self, n, seed):
+        # n = 1000 streams about 400 observed rows in blocks of 131
+        data, R = _raml_payoff(np.random.default_rng(seed), n)
+        got = f_data_raml(data, R).values()
+        want = f_data_augmented(data, raml_kernel(R)).values()
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        live = np.isfinite(want)
+        bound = self.C * np.finfo(float).eps * np.maximum(1.0, np.abs(want[live]))
+        assert np.all(np.abs(got[live] - want[live]) <= bound)
+
+    def test_unobserved_rows_are_not_read(self, toy_dataset):
+        # index 1 has no data: its row may hold anything
+        R = np.random.default_rng(3).normal(size=(8, 8))
+        clean = f_data_raml(toy_dataset, R).values()
+        R[1] = [np.nan, np.inf, -np.inf, 0, 0, 0, 0, 0]
+        assert np.array_equal(f_data_raml(toy_dataset, R).values(), clean)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_inf_payoff_raises(self, toy_dataset, bad):
+        R = np.zeros((8, 8))
+        R[4, 6] = bad
+        with pytest.raises(ValueError, match="payoff row t\\* = 4"):
+            f_data_raml(toy_dataset, R)
+        with pytest.raises(ValueError, match="payoff row t\\* = 4"):
+            raml_kernel(R)  # the same row rule
+
+    def test_observed_row_of_neg_inf_raises(self, toy_dataset):
+        R = np.zeros((8, 8))
+        R[5] = -np.inf
+        with pytest.raises(DegenerateKernel, match="t\\* = 5"):
+            f_data_raml(toy_dataset, R)
+
+    def test_neg_inf_entries_weigh_nothing(self, toy_dataset):
+        # a payoff of -inf off the diagonal is the identity kernel
+        R = np.where(np.eye(8) == 1, 0.0, -np.inf)
+        assert np.array_equal(f_data_raml(toy_dataset, R).values(),
+                              f_data(toy_dataset).values())
+
+    def test_payoff_must_cover_the_domain(self, toy_dataset):
+        with pytest.raises(ValueError, match="N x N"):
+            f_data_raml(toy_dataset, np.zeros((8, 7)))
+
+
 class TestActive:
     def test_selection_softmax(self):
         pool = Dataset(Domain.of_size(4), np.array([1.0, 2.0, 3.0, 4.0]))
@@ -169,6 +238,19 @@ class TestActive:
         v = f_active(pool, np.array([1, -7, 0, 99]), u, 1.0, prod).values()
         assert list(np.flatnonzero(~np.isneginf(v))) == [prod.pair(0, 1),
                                                           prod.pair(2, 0)]
+
+
+    @pytest.mark.parametrize("labels, u, name", [
+        ([0, 1, 0], [0.1, 0.2, 0.3, 0.4], "oracle_labels"),
+        ([0, 1, 0, 1, 0], [0.1, 0.2, 0.3, 0.4], "oracle_labels"),
+        ([0, 1, 0, 1], [0.1, 0.2], "utility"),
+    ])
+    def test_f_active_checks_lengths_against_the_pool(self, labels, u, name):
+        # the last pool point is observed: a short label array ends before it
+        pool = Dataset(Domain.of_size(4), np.array([2.0, 0.0, 1.0, 3.0]))
+        prod = Domain.product(("x0", "x1", "x2", "x3"), ("y0", "y1"))
+        with pytest.raises(DomainMismatch, match=f"^{name} has shape"):
+            f_active(pool, np.array(labels), np.array(u), 1.0, prod)
 
 
 class TestSoftLogic:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sekit import mdp as mdp_module
-from sekit.bundles import ProblemBundle, load_bundle
+from sekit.bundles import BundleError, ProblemBundle, load_bundle
 from sekit.core import Domain
 from sekit.mdp import (BELLMAN_TOL, BellmanResidual, NonPositiveQ, TabularMDP,
                        exact_policy_gradient, f_reward, policy_value,
@@ -93,6 +93,19 @@ class TestTabularMDP:
         assert mdp.p_cols.tolist() == [1, 0, 1, 1, 0]
         assert mdp.p_vals.tolist() == [1.0, 0.25, 0.75, 1.0, 1.0]
         assert mdp.p_starts.tolist() == [0, 1, 3, 4]
+
+    @pytest.mark.parametrize("triple", [[0, 0, -1, 1.0], [0, -1, 0, 1.0],
+                                        [-1, 0, 0, 1.0], [0, 0, 2, 1.0],
+                                        [0, 1, 0, 1.0], [2, 0, 0, 1.0]])
+    def test_from_json_rejects_indices_outside_the_mdp(self, triple):
+        # a negative index would wrap around to the last state or action
+        payload = {"states": 2, "actions": 1, "gamma": 0.5, "p0": [1.0, 0.0],
+                   "rewards": [1.0, 1.0],
+                   "transitions": [triple, [0, 0, 0, 1.0], [1, 0, 1, 1.0]]}
+        with pytest.raises(IndexError, match="2 states x 1 actions"):
+            TabularMDP.from_json(payload)
+        with pytest.raises(BundleError, match="^bundle key 'mdp'"):
+            load_bundle({"mdp": payload})
 
     def test_domain(self, small_mdp):
         dom = small_mdp.domain()

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sekit.core import Dist, Domain
+from sekit import models
+from sekit.core import Dist, Domain, logsumexp
 from sekit.models import (ConditionalSoftmaxModel, MixtureModel,
                           NonFiniteGradient, ShapeMismatch, SoftmaxModel,
                           exact_fit, fit_to, grad_expected_log_prob)
@@ -114,6 +117,75 @@ class TestMixtureModel:
         assert np.max(np.abs(np.exp(fitted.component_logits[0]) - comp0)) <= 1e-15
 
 
+def _models(rng):
+    flat = SoftmaxModel(rng.normal(size=6), Domain.of_size(6))
+    cond = ConditionalSoftmaxModel(
+        rng.normal(size=(3, 2)), Domain.product(("a", "b", "c"), ("u", "v")))
+    mix = MixtureModel(rng.normal(size=2), rng.normal(size=(2, 4)),
+                       Domain.product(tuple(f"x{i}" for i in range(4)),
+                                      ("k0", "k1")))
+    return {"softmax": flat, "conditional": cond, "mixture": mix}
+
+
+class TestDerivedArrays:
+    # (family, method) of every derived value a frozen model keeps
+    CACHED = [("softmax", "log_probs"), ("softmax", "dist"),
+              ("conditional", "log_probs"), ("conditional", "probs"),
+              ("mixture", "log_joint"), ("mixture", "dist")]
+
+    @pytest.mark.parametrize("family, method", CACHED)
+    def test_computed_once(self, rng, family, method):
+        m = _models(rng)[family]
+        assert getattr(m, method)() is getattr(m, method)()
+
+    @pytest.mark.parametrize("family, method", [c for c in CACHED
+                                                if c[1] != "dist"])
+    def test_cached_arrays_are_read_only(self, rng, family, method):
+        arr = getattr(_models(rng)[family], method)()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+    @pytest.mark.parametrize("family", ["softmax", "mixture"])
+    def test_dist_is_bit_equal_to_a_fresh_one(self, rng, family):
+        m = _models(rng)[family]
+        d = m.dist()
+        fresh = Dist(m.log_probs())
+        assert np.array_equal(d.logp.view(np.uint64), fresh.logp.view(np.uint64))
+        assert np.array_equal(d.p.view(np.uint64), fresh.p.view(np.uint64))
+
+    @pytest.mark.parametrize("family", ["softmax", "conditional"])
+    def test_log_probs_are_the_log_softmax(self, rng, family):
+        m = _models(rng)[family]
+        m.log_probs()
+        want = m.theta - logsumexp(m.theta, axis=-1, keepdims=True)
+        assert np.array_equal(m.log_probs().view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("family", ["softmax", "conditional", "mixture"])
+    def test_cache_is_not_a_parameter(self, rng, family):
+        # fields, replace and the solver's fixed-point test see parameters only
+        from sekit.solver import _same_parameters
+        m = _models(rng)[family]
+        names = [f.name for f in dataclasses.fields(m)]
+        m.log_probs()
+        if family != "conditional":
+            m.dist()
+        assert [f.name for f in dataclasses.fields(m)] == names
+        copy = dataclasses.replace(m)
+        assert _same_parameters(m, copy) and _same_parameters(copy, m)
+        assert not copy.__dict__.keys() - set(names)
+
+    def test_em_computes_each_log_joint_once(self, mixture_bundle, monkeypatch):
+        # p_theta, the teacher's joint and its marginal share one log_joint:
+        # two log-softmaxes (weights and components) per iteration
+        calls = []
+        original = models._log_softmax
+        monkeypatch.setattr(models, "_log_softmax",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        from sekit.recipes import run_recipe
+        run_recipe("unsupervised-mle", mixture_bundle, 0, iters=6)
+        assert len(calls) == 2 * 6
+
+
 class TestFitTo:
     @pytest.mark.parametrize("family", ["softmax", "conditional"])
     def test_monotone_ascent(self, rng, family):
@@ -174,6 +246,64 @@ class TestFitTo:
             assert np.array_equal(got.theta, want.theta)
             # a step of 60 overshoots and must backtrack; a step of 1 need not
             assert halvings > 0 or step_size == 1.0
+
+    @staticmethod
+    def _loop_before_hoisting(model, q, steps, step_size=1.0):
+        """fit_to on a conditional model as it stood before q's support, q.p on
+        it and q_x moved out of the step loop (copied, with the gradient and
+        `Dist.expect` written out)."""
+        def expect(values):
+            mask = q.p > 0
+            if (values[mask] == -np.inf).any():
+                return -np.inf
+            return float(q.p[mask] @ values[mask])
+
+        def log_probs_of(m):
+            return m.theta - logsumexp(m.theta, axis=1, keepdims=True)
+
+        def grad_at(m, log_probs):
+            nx, ny = m.domain.factor_sizes
+            q_xy = q.p.reshape(nx, ny)
+            q_x = q_xy.sum(axis=1)
+            return q_xy - q_x[:, None] * np.exp(log_probs)
+
+        current, log_probs = model, log_probs_of(model)
+        obj = expect(log_probs.ravel())
+        for _ in range(steps):
+            grad = grad_at(current, log_probs)
+            if not np.all(np.isfinite(grad)):
+                raise NonFiniteGradient("gradient has non-finite entries")
+            eta = step_size
+            for _halving in range(30):
+                candidate = current.with_theta(current.theta + eta * grad)
+                new_log_probs = log_probs_of(candidate)
+                new_obj = expect(new_log_probs.ravel())
+                if new_obj >= obj:
+                    break
+                eta /= 2.0
+            else:
+                return current
+            current, obj, log_probs = candidate, new_obj, new_log_probs
+        return current
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("step_size", [1.0, 60.0])
+    def test_conditional_fit_matches_the_loop_before_hoisting(self, seed,
+                                                             step_size):
+        # targets with zero-mass rows (q_x = 0) and zero cells in live rows
+        g = np.random.default_rng(seed)
+        nx, ny = 7, 4
+        dom = Domain.product(tuple(f"x{i}" for i in range(nx)),
+                             tuple(f"y{j}" for j in range(ny)))
+        m = ConditionalSoftmaxModel(2.0 * g.normal(size=(nx, ny)), dom)
+        q_xy = g.dirichlet(np.full(nx * ny, 0.5)).reshape(nx, ny)
+        q_xy[g.choice(nx, 2, replace=False)] = 0.0
+        q_xy[g.random((nx, ny)) < 0.2] = 0.0
+        q = Dist.from_probs((q_xy / q_xy.sum()).ravel())
+        want = self._loop_before_hoisting(m, q, 40, step_size)
+        got = fit_to(m, q, steps=40, step_size=step_size)
+        assert np.array_equal(got.theta.view(np.uint64),
+                              want.theta.view(np.uint64))
 
     def test_bad_args(self, rng):
         dom = Domain.of_size(3)

@@ -194,6 +194,35 @@ class TestChecks:
         res = run_recipe("data-augmentation", b, 0)
         assert not any(np.ndim(v) == 2 for v in res.extras.values())
 
+    @pytest.mark.parametrize("recipe", ["data-augmentation",
+                                        "interpolation-schedule"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_inf_payoff_is_named(self, rng, recipe, bad):
+        # one bad entry used to spread nan through every score
+        ds = Dataset(Domain.of_size(6), rng.integers(1, 9, 6).astype(float))
+        payoff = rng.normal(size=(6, 6))
+        payoff[2, 4] = bad
+        with pytest.raises(ValueError, match="^payoff row t\\* = 2"):
+            run_recipe(recipe, ProblemBundle(dataset=ds, payoff=payoff,
+                                             extras={"reward": np.zeros(6)}))
+
+    def test_augmentation_peak_memory_is_below_one_kernel(self):
+        # the experience streams the payoff in blocks of about 1 MB; the
+        # N x N kernel alone would be n * n * 8 bytes
+        import tracemalloc
+        n = 2000
+        g = np.random.default_rng(0)
+        b = ProblemBundle(dataset=Dataset(Domain.of_size(n),
+                                          g.integers(0, 9, n).astype(float) + 1),
+                          payoff=g.normal(size=(n, n)))
+        tracemalloc.start()
+        try:
+            run_recipe("data-augmentation", b, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
     def test_active(self, rng):
         pool = Dataset(Domain.of_size(5), np.array([3.0, 1.0, 4.0, 2.0, 5.0]))
         b = ProblemBundle(pool=pool, oracle_labels=np.array([0, 1, 2, 0, 1]),

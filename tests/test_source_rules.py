@@ -1,7 +1,8 @@
 """Engine-wide source rules: no runtime `assert` (python -O strips it), no
 `while` loop (each loop is bounded, so it converges or raises a typed error),
 no `SEConfig` field that nothing reads, no import that nothing uses, no
-engine definition that only tests reach, no engine option (a defaulted
+engine definition that only tests reach, no engine definition that only
+the benchmark reaches unless it is listed, no engine option (a defaulted
 parameter) that no caller passes, no engine import in the oracles, no
 `scipy.special` in the engine, no `scipy.sparse` anywhere in sekit (its
 import alone raises every run's peak memory and set-up time; the MDP kernels
@@ -202,6 +203,51 @@ def test_every_engine_definition_has_a_caller():
             if all(p == path and id(n) in own for p, n in named.get(name, [])):
                 unreached.append(f"{path.name}:{node.lineno}: {name}")
     assert unreached == []
+
+
+# Engine definitions that only the benchmark names, each with the reason it
+# stays or the ROADMAP item that deletes it.
+_BENCH_ONLY = {
+    "KL": "the divergence.kl kernel timing; the engine calls kl directly",
+    "JS": "the divergence.js kernel timing; the engine builds its own "
+          "DivergenceFn('js')",
+    "influence_function": "item 18 deletes the iterative influence ascent",
+    "visitation": "the mdp.visitation kernel timing; the engine calls "
+                  "reward_and_visitation",
+    "registry": "the smoke test's list of recipes; the CLI calls get_recipe",
+    "mw_update": "item 23 deletes it once item 21 drops its kernel timing",
+    "raml_kernel": "item 21 moves the f_data_augmented timing onto "
+                   "f_data_raml, then deletes it",
+    "f_data_augmented": "item 21 moves its timing onto f_data_raml, then "
+                        "deletes the general kernel path",
+}
+
+
+def test_benchmark_only_definitions_are_listed():
+    # a definition that perfbench/ names but no engine module or script
+    # does is kept only for the benchmark: list it, so that it is deleted
+    # with the timing that keeps it (names match by spelling; __init__
+    # re-exports and the definition itself do not count)
+    engine = [p for p in MODULES if p.name != "__init__.py"]
+    scripts = sorted((_REPO / "scripts").glob("*.py"))
+    bench = set()
+    for path in sorted((_REPO / "perfbench").glob("*.py")):
+        bench.update(name for name, _ in _mentions(_parse(path)))
+    trees = {path: _parse(path) for path in engine + scripts}
+    named = {}
+    for path, tree in trees.items():
+        for name, node in _mentions(tree):
+            named.setdefault(name, []).append((path, node))
+    only = set()
+    for path in engine:
+        if path.name == "oracles.py":
+            continue
+        for name, node in _definitions(trees[path]):
+            own = {id(n) for n in ast.walk(node)}
+            if name in bench and all(p == path and id(n) in own
+                                     for p, n in named.get(name, [])):
+                only.add(name)
+    assert sorted(only) == sorted(_BENCH_ONLY)
 
 
 # Engine functions whose options no call site passes, each with its reason.
