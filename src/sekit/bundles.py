@@ -4,12 +4,13 @@ distributions)."""
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
 
-from .core import Dist, Domain
+from .core import Dist, Domain, integers
 from .experience import Dataset, SoftLogicExpr, parse_rule
 from .mdp import TabularMDP
 from .models import ConditionalSoftmaxModel
@@ -54,10 +55,11 @@ def _floats(value) -> np.ndarray:
 
 # the bundle keys that one conversion loads into the field of their name
 _PLAIN = {
-    "oracle_labels": lambda v: np.asarray(v, dtype=int), "utility": _floats,
-    "select_lambda": float, "rewards": _floats,
-    "p_data": lambda v: Dist.from_probs(_floats(v)), "coords": _floats,
-    "payoff": _floats, "n_components": int, "rho": float, "extras": dict,
+    "oracle_labels": integers, "utility": _floats, "select_lambda": float,
+    "rewards": _floats, "p_data": lambda v: Dist.from_probs(_floats(v)),
+    "coords": _floats, "payoff": _floats,
+    "n_components": lambda v: operator.index(integers(v)), "rho": float,
+    "extras": dict,
 }
 # every bundle key, in load order: the dataset reads the domain and product
 _KEYS = ("domain", "product", "dataset", "mdp", "rule", "source_model",

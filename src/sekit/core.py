@@ -1,5 +1,5 @@
-"""Finite domains, exact probability vectors, log-sum-exp and Shannon
-entropy.
+"""Finite domains, exact probability vectors, log-sum-exp, Shannon entropy
+and the lossless conversion of integer inputs.
 
 All probability arithmetic is carried in log space with max-shifted
 log-sum-exp (`logsumexp`) so that hard-zero scores (-inf) are first-class
@@ -113,6 +113,15 @@ def logsumexp(a, axis=None, keepdims=False):
 def safe_log(x: np.ndarray) -> np.ndarray:
     """Elementwise log, -inf exactly where x <= 0 or x is nan, with no warning."""
     return np.log(x, out=np.full(x.shape, -np.inf), where=x > 0)
+
+
+def integers(value) -> np.ndarray:
+    """`value` as ints; a non-integral or non-finite entry raises TypeError."""
+    arr = np.asarray(value, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr == np.trunc(arr)))
+    if bad.any():
+        raise TypeError(f"{arr[bad].flat[0]:g} is not an integer")
+    return arr.astype(int)
 
 
 class Dist:

@@ -17,12 +17,13 @@ matrix I - gamma T_pi is dense.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Domain
+from .core import Domain, integers
 from .experience import ExperienceFn
 from .models import ConditionalSoftmaxModel
 
@@ -110,21 +111,20 @@ class TabularMDP:
     @classmethod
     def from_json(cls, payload: dict) -> "TabularMDP":
         """From a JSON object with P as [s, a, s', p] rows (repeats add, in
-        order).  A state outside [0, S) or an action outside [0, A) raises
-        IndexError, a negative one included."""
-        S = int(payload["states"])
-        A = int(payload["actions"])
+        order).  A non-integral count or index raises TypeError, and a state
+        or action outside [0, S) or [0, A), negatives included, IndexError."""
+        S, A = (operator.index(integers(payload[k])) for k in ("states", "actions"))
         rows = np.asarray(payload["transitions"], dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 4:
             raise TypeError("transitions must be a list of [s, a, s', p] rows")
-        index = rows[:, :3]
-        outside = ~((index >= 0) & (index < (S, A, S))).all(axis=1)  # nan too
+        index = integers(rows[:, :3])
+        outside = ~((index >= 0) & (index < (S, A, S))).all(axis=1)
         if outside.any():
             s, a, s2 = index[outside][0]
-            raise IndexError(f"transition [{s:g}, {a:g}, {s2:g}] leaves "
+            raise IndexError(f"transition [{s}, {a}, {s2}] leaves "
                              f"{S} states x {A} actions")
         P = np.zeros((S, A, S))
-        np.add.at(P, tuple(index.astype(int).T), rows[:, 3])  # unbuffered: in order
+        np.add.at(P, tuple(index.T), rows[:, 3])  # unbuffered: in order
         r = np.asarray(payload["rewards"], dtype=float).reshape(S, A)
         return cls(P, r, float(payload["gamma"]), np.asarray(payload["p0"], dtype=float))
 

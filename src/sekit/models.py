@@ -2,8 +2,8 @@
 
 Three families: a flat softmax over a domain, a row-wise conditional softmax
 (policy), and a latent-variable mixture.  All are value types; updates return
-new models.  The softmax and the mixture have an exact student (`exact_fit`);
-the softmax and the conditional model have a gradient student (`fit_to`).
+new models.  `exact_fit` is every family's student; the gradient fit `fit_to`
+(softmax, conditional) is timed by the benchmark and called by nothing else.
 A model computes each derived array (its log-probabilities, its
 distribution) once, on first use, and keeps it read-only.
 """
@@ -198,32 +198,35 @@ def _gradient(model: Model, q: Dist) -> Callable[[np.ndarray], np.ndarray]:
 
 def exact_fit(model: Model, q: Dist) -> Model:
     """Install the exact maximizer of E_q[log p_theta]: q itself for the flat
-    softmax, and the closed-form mixture weights and components for the
-    mixture.  The conditional model has no exact student here; it takes
-    `fit_to`'s gradient steps."""
+    softmax, q(y|x) on each row with mass for the conditional model, and
+    the closed-form mixture weights and components for the mixture."""
     if isinstance(model, SoftmaxModel):
         return model.with_theta(q.logp.copy())
+    if isinstance(model, ConditionalSoftmaxModel):
+        q_xy = q.p.reshape(model.theta.shape)
+        return model.with_theta(_row_logits(model.theta, q_xy, q_xy.sum(axis=1)))
     if isinstance(model, MixtureModel):
-        nx, k = model.domain.factor_sizes
-        q_xy = q.p.reshape(nx, k)
+        q_xy = q.p.reshape(model.domain.factor_sizes)
         q_y = q_xy.sum(axis=0)
-        mix = safe_log(q_y)
-        comp = model.component_logits.copy()
-        live = q_y > 0  # a component without mass keeps its old logits
-        comp[live] = safe_log(q_xy[:, live].T / q_y[live, None])
-        return model.with_logits(mix, comp)
+        return model.with_logits(
+            safe_log(q_y), _row_logits(model.component_logits, q_xy.T, q_y))
     raise TypeError(f"unsupported model type {type(model)!r}")
+
+
+def _row_logits(logits: np.ndarray, mass: np.ndarray,
+                totals: np.ndarray) -> np.ndarray:
+    """log(mass / totals) row by row; a row without mass keeps its logits."""
+    out = logits.copy()
+    live = totals > 0
+    out[live] = safe_log(mass[live] / totals[live, None])
+    return out
 
 
 def fit_to(model: Model, q: Dist, steps: int = 100, step_size: float = 1.0) -> Model:
     """Fit p_theta to q by gradient ascent on E_q[log p_theta], with
-    backtracking so the objective is non-decreasing per step.
-
-    Any family with a `grad_expected_log_prob` (softmax, conditional) can be
-    fitted; a mixture raises TypeError.  A candidate's `log_probs()` give its
-    objective and, once it is accepted, the next gradient; q's part of the
-    gradient, and its support for the objective, are computed once.
-    """
+    backtracking so the objective is non-decreasing per step.  It fits a
+    softmax or conditional model (a mixture raises TypeError), and computes
+    q's part of the gradient and q's support once per fit."""
     if steps < 0 or step_size <= 0:
         raise ValueError("steps >= 0 and step_size > 0 required")
     gradient = _gradient(model, q)

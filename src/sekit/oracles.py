@@ -6,7 +6,7 @@ teacher-student loop is evidence, not tautology.
 """
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -27,6 +27,24 @@ def weighted_mle(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if total <= 0:
         raise ValueError("all-zero weighted counts")
     return w / total
+
+
+def raml_teacher(counts: np.ndarray, payoff: np.ndarray) -> np.ndarray:
+    """The RAML teacher from a uniform model, by enumeration: q(t) proportional
+    to sum_{t*} emp(t*) exp(R[t*, t]) / Z[t*], Z[t*] = sum_t exp(R[t*, t]).
+    Observed rows t* are read about 1 MB at a time, so no N x N array is held.
+    """
+    counts = np.asarray(counts, dtype=float)
+    payoff = np.asarray(payoff, dtype=float)
+    observed = np.flatnonzero(counts > 0)
+    emp = counts[observed] / counts.sum()
+    height = max(1, (1 << 17) // payoff.shape[1])
+    target = np.zeros(payoff.shape[1])
+    for start in range(0, observed.size, height):
+        block = payoff[observed[start:start + height]]
+        block = np.exp(block - block.max(axis=1, keepdims=True))
+        target += (emp[start:start + height] / block.sum(axis=1)) @ block
+    return target / target.sum()
 
 
 def hand_em(data_counts: np.ndarray, pi: np.ndarray, comp: np.ndarray,
@@ -86,41 +104,33 @@ def external_regret(initial: np.ndarray, reward_rows: np.ndarray,
 
 
 def reinforce_gradient(transitions: np.ndarray, rewards: np.ndarray,
-                       gamma: float, p0: np.ndarray, logits: np.ndarray,
-                       horizon: Optional[int] = None) -> np.ndarray:
+                       gamma: float, p0: np.ndarray,
+                       logits: np.ndarray) -> np.ndarray:
     """Exact expected REINFORCE gradient by dynamic programming.
 
     grad J = sum_h gamma^h sum_{s,a} Pr(s_h = s) pi(a|s) grad log pi(a|s) Q(s,a)
     computed with an independent finite-horizon rollout of the state
     occupancy and an iterative Q evaluation (no linear solves).
     """
-    S, A = rewards.shape
     pi = np.exp(logits - logits.max(axis=1, keepdims=True))
     pi = pi / pi.sum(axis=1, keepdims=True)
-    # iterative policy evaluation
-    q = np.zeros((S, A))
-    for _ in range(200000):
-        v = (pi * q).sum(axis=1)
-        new_q = rewards + gamma * transitions @ v
-        if np.max(np.abs(new_q - q)) < 1e-14:
-            q = new_q
+    q = np.zeros(rewards.shape)
+    for _ in range(200000):  # iterative policy evaluation
+        q, old = rewards + gamma * transitions @ (pi * q).sum(axis=1), q
+        if np.max(np.abs(q - old)) < 1e-14:
             break
-        q = new_q
-    if horizon is None:
-        horizon = int(np.ceil(np.log(1e-16) / np.log(gamma))) if gamma > 0 else 1
-    grad = np.zeros((S, A))
-    occ = np.asarray(p0, dtype=float).copy()
-    discount = 1.0
+    else:
+        raise RuntimeError("policy evaluation did not converge")
+    # grad log pi(a|s) wrt logits(s, b) = 1[a=b] - pi(b|s), so the sum over
+    # a of pi(a|s) Q(s,a) grad log pi(a|s) is pi(b|s) (Q(s,b) - V(s))
+    advantage = pi * (q - (pi * q).sum(axis=1, keepdims=True))
     T = np.einsum("ij,ijk->ik", pi, transitions)
+    grad = np.zeros(rewards.shape)
+    occ, discount = np.asarray(p0, dtype=float), 1.0
+    horizon = int(np.ceil(np.log(1e-16) / np.log(gamma))) if gamma > 0 else 1
     for _ in range(horizon):
-        # grad log pi(a|s) wrt logits(s, b) = 1[a=b] - pi(b|s)
-        for s in range(S):
-            for a in range(A):
-                glog = -pi[s].copy()
-                glog[a] += 1.0
-                grad[s] += discount * occ[s] * pi[s, a] * q[s, a] * glog
-        occ = T.T @ occ
-        discount *= gamma
+        grad += (discount * occ)[:, None] * advantage
+        occ, discount = T.T @ occ, discount * gamma
     return grad
 
 

@@ -289,8 +289,8 @@ def _run_mw(config, bundle, seed, alpha=None) -> RecipeResult:
 
 def _run_interpolation(config, bundle, seed, iters_per_stage=10) -> RecipeResult:
     dom = bundle.dataset.domain
-    reward = np.asarray(bundle.extras.get("reward", bundle.payoff.mean(axis=0)),
-                        dtype=float)
+    reward = np.asarray(bundle.extras["reward"] if "reward" in bundle.extras
+                        else bundle.payoff.mean(axis=0), dtype=float)
     fn_data = f_data(bundle.dataset)
     fn_aug = f_data_raml(bundle.dataset, bundle.payoff)
     fn_reward = ExperienceFn.from_vector(dom, reward)
@@ -331,12 +331,8 @@ def _check_supervised(bundle, tol, seed):
 
 def _check_self_supervised(bundle, tol, seed):
     res = run_recipe("self-supervised-mle", bundle, seed)
-    # independent count: re-split observations by hand
-    prod = bundle.product_domain
-    counts = np.zeros(prod.size)
-    for t, m in enumerate(bundle.dataset.counts):
-        counts[t] += m  # identity split on the pair domain
-    target = oracles.direct_mle(counts)
+    # the split is the identity on the pair domain: the target is the counts
+    target = oracles.direct_mle(bundle.dataset.counts)
     dev = res.final_dist.tv(Dist.from_probs(target))
     return dev, {"final_tv": dev}
 
@@ -392,13 +388,7 @@ def _check_reweighting(bundle, tol, seed):
 
 def _check_augmentation(bundle, tol, seed):
     res = run_recipe("data-augmentation", bundle, seed)
-    # enumeration oracle: q(t) = sum_{t*} emp(t*) exp(R[t*,t]) / Z_{t*}
-    emp = bundle.dataset.counts / bundle.dataset.counts.sum()
-    R = bundle.payoff
-    expR = R - R.max(axis=1, keepdims=True)
-    np.exp(expR, out=expR)
-    target = (emp / expR.sum(axis=1)) @ expR  # 1/Z_{t*} folded into the weights
-    target = target / target.sum()
+    target = oracles.raml_teacher(bundle.dataset.counts, bundle.payoff)
     q0 = res.extras["first_teacher"]
     dev = float(np.max(np.abs(q0.p - target)))
     return dev, {"teacher_max_abs": dev}
@@ -422,29 +412,24 @@ def _check_active(bundle, tol, seed):
 
 def _check_posterior_reg(bundle, tol, seed):
     res = run_recipe("posterior-regularization", bundle, seed, iters=5)
-    lam = bundle.rule_weight
-    rule = res.extras["rule_values"]
     p_x = res.extras["p_x"]
-    prod = bundle.product_domain
-    nx, ny = prod.factor_sizes
+    nx, ny = bundle.product_domain.factor_sizes
+    rule_mat = (bundle.rule_weight * res.extras["rule_values"]).reshape(nx, ny)
     worst = 0.0
     # per-iteration check: replay with an independently coded loop that tracks
-    # its own parameters, so each q comparison is against the oracle's state
+    # its own parameters, so each q comparison is against the oracle's state;
+    # its M-step sets theta_x = log tilt_x on each observed x
     rng = np.random.default_rng(seed)
     theta = rng.normal(size=(nx, ny)) * 0.1
-    from .models import ConditionalSoftmaxModel as CSM, fit_to as _fit
-    rule_mat = (lam * rule).reshape(nx, ny)
+    cond = np.exp(theta - logsumexp(theta, axis=1, keepdims=True))
     for q, model_after in res.extras["history"]:
-        cond = np.exp(theta - logsumexp(theta, axis=1, keepdims=True))
         tilt = cond * np.exp(rule_mat)
         tilt = tilt / tilt.sum(axis=1, keepdims=True)
         oracle_q = (p_x[:, None] * tilt).ravel()
         worst = max(worst, float(np.max(np.abs(q.p - oracle_q))))
-        model = _fit(CSM(theta, prod), Dist.from_probs(oracle_q / oracle_q.sum()),
-                     steps=40, step_size=1.0)
-        theta = model.theta.copy()
-        worst = max(worst, float(np.max(np.abs(
-            np.exp(model_after.log_probs()) - np.exp(model.log_probs())))))
+        theta[p_x > 0] = np.log(tilt[p_x > 0])
+        cond = np.exp(theta - logsumexp(theta, axis=1, keepdims=True))
+        worst = max(worst, float(np.max(np.abs(model_after.probs() - cond))))
     return worst, {"iterations": len(res.extras["history"])}
 
 
@@ -455,10 +440,15 @@ def _check_unified_em(bundle, tol, seed):
     return (0.0 if finite else np.inf), {"iterations": len(res.trace.records)}
 
 
-def _check_policy_gradient(bundle, tol, seed):
+def _check_policy_gradient(oracle, bundle, tol, seed):
+    """se_grad * Z against the engine's exact policy gradient ("exact-pg")
+    or the plain-numpy REINFORCE gradient ("reinforce")."""
     res = run_recipe("policy-gradient", bundle, seed)
+    mdp = bundle.mdp
+    pg = (exact_policy_gradient(mdp, res.model) if oracle == "exact-pg" else
+          oracles.reinforce_gradient(mdp.transitions, mdp.rewards, mdp.gamma,
+                                     mdp.p0, res.model.theta)).ravel()
     se = res.extras["se_grad"].ravel()
-    pg = exact_policy_gradient(bundle.mdp, res.model).ravel()
     cos = float(se @ pg / (np.linalg.norm(se) * np.linalg.norm(pg)))
     z = res.extras["z"]
     ratio_dev = float(np.max(np.abs(se * z - pg)) / max(np.max(np.abs(pg)), 1e-300))
@@ -616,8 +606,8 @@ _RECIPES: Dict[str, Recipe] = {r.name: r for r in [
            "f = log Q at alpha=beta=1: the student gradient is the exact "
            "policy gradient scaled by 1/Z.",
            ("mdp",), _UNIT, "gradient-direction", _run_policy_gradient,
-           {"exact-pg": _check_policy_gradient,
-            "reinforce": _check_policy_gradient}),
+           {"exact-pg": partial(_check_policy_gradient, "exact-pg"),
+            "reinforce": partial(_check_policy_gradient, "reinforce")}),
     Recipe("intrinsic-reward",
            "f = log(Q_extrinsic + Q_intrinsic): reward shaping inside the "
            "same teacher.",

@@ -3,8 +3,7 @@
     min_{q, theta}  -alpha H(q) + beta CE(q, p_theta) - E_q[f]
 
 with the closed-form teacher (and its per-x form for a fixed x marginal), the
-student that the model family fixes (the exact fit of a softmax or mixture,
-gradient steps on a conditional model), the multiplicative-weights
+exact student of every model family, the multiplicative-weights
 trajectory over all rounds in one log-space pass, and the dynamic schedule
 that interpolates between configurations.
 """
@@ -19,11 +18,9 @@ from .core import (AllNegInfinity, Dist, Domain, entropy, logsumexp,
                    normalize_log)
 from .divergence import CE, divergence
 from .experience import ExperienceFn
-from .models import (ConditionalSoftmaxModel, MixtureModel, Model, exact_fit,
-                     fit_to)
+from .models import ConditionalSoftmaxModel, MixtureModel, Model, exact_fit
 
 DEFAULT_EPSILON = 1e-8  # the "very small positive" beta of the MLE recipes
-STUDENT_STEPS = 40  # gradient steps per student step on a conditional model
 
 
 class ModeUnsupported(ValueError):
@@ -39,7 +36,7 @@ class SEConfig:
     """A point in the algorithm space: the trade-off weights, the experience,
     the teacher's decomposition and the stopping rule.  The divergence is
     cross-entropy and the uncertainty is Shannon entropy, which the
-    closed-form teacher needs; the student follows the model (`student_step`)."""
+    closed-form teacher needs; the student is the model's exact fit."""
 
     alpha: float = 1.0
     beta: float = 1.0
@@ -148,18 +145,6 @@ def teacher_closed_form(p_theta: Dist, f_vals: np.ndarray, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# Student steps
-# ---------------------------------------------------------------------------
-
-def student_step(q: Dist, model: Model) -> Model:
-    """Fit the model to the teacher's q: STUDENT_STEPS gradient steps for a
-    conditional model, the exact fit for the softmax and the mixture."""
-    if isinstance(model, ConditionalSoftmaxModel):
-        return fit_to(model, q, steps=STUDENT_STEPS)
-    return exact_fit(model, q)
-
-
-# ---------------------------------------------------------------------------
 # The alternating run
 # ---------------------------------------------------------------------------
 
@@ -238,7 +223,7 @@ def _step(config: SEConfig, model: Model, domain: Domain,
               if config.beta != 0 else 0.0)
     neg_f = -q.expect(f_vals)
     total = neg_h + d_term + neg_f
-    model = student_step(q, model)
+    model = exact_fit(model, q)
     tv = None
     if reference is not None:
         tv = model_dist(model, p_x).tv(reference)

@@ -107,6 +107,23 @@ class TestTabularMDP:
         with pytest.raises(BundleError, match="^bundle key 'mdp'"):
             load_bundle({"mdp": payload})
 
+    @pytest.mark.parametrize("key, value", [
+        ("states", 2.5), ("actions", 1.9), ("actions", float("nan")),
+        ("transitions", [[0, 0, 0.5, 1.0], [0, 0, 0, 0.0], [1, 0, 1, 1.0]]),
+        ("transitions", [[0, 0.5, 0, 1.0], [0, 0, 0, 1.0], [1, 0, 1, 1.0]]),
+        ("transitions", [[0, 0, float("nan"), 1.0], [0, 0, 0, 1.0],
+                         [1, 0, 1, 1.0]]),
+    ])
+    def test_from_json_rejects_a_non_integer_count_or_index(self, key, value):
+        # truncation would put 0.5's mass on state 0
+        payload = {"states": 2, "actions": 1, "gamma": 0.5, "p0": [1.0, 0.0],
+                   "rewards": [1.0, 1.0],
+                   "transitions": [[0, 0, 0, 1.0], [1, 0, 1, 1.0]], key: value}
+        with pytest.raises(TypeError, match="is not an integer"):
+            TabularMDP.from_json(payload)
+        with pytest.raises(BundleError, match="^bundle key 'mdp'"):
+            load_bundle({"mdp": payload})
+
     def test_domain(self, small_mdp):
         dom = small_mdp.domain()
         assert dom.size == 8

@@ -71,12 +71,25 @@ class TestConditionalSoftmaxModel:
             lambda t: expected_log_prob(ConditionalSoftmaxModel(t, dom), q), theta)
         assert np.max(np.abs(g - fd)) <= 1e-7
 
-    def test_has_no_exact_fit(self, rng):
-        # its student is fit_to's gradient steps
+    def test_exact_fit_matches_conditional(self, rng):
         dom = Domain.product(("a", "b", "c"), ("u", "v"))
-        m = ConditionalSoftmaxModel(rng.normal(size=(3, 2)), dom)
-        with pytest.raises(TypeError):
-            exact_fit(m, random_dist(rng, 6))
+        q = random_dist(rng, 6)
+        m = exact_fit(ConditionalSoftmaxModel(np.zeros((3, 2)), dom), q)
+        q_xy = q.p.reshape(3, 2)
+        cond = q_xy / q_xy.sum(axis=1, keepdims=True)
+        assert np.max(np.abs(m.probs() - cond)) <= 1e-12
+
+    def test_exact_fit_keeps_zero_mass_row(self, rng):
+        dom = Domain.product(("a", "b", "c"), ("u", "v", "w"))
+        m = ConditionalSoftmaxModel(rng.normal(size=(3, 3)), dom)
+        q_xy = rng.dirichlet(np.ones(9)).reshape(3, 3)
+        q_xy[1] = 0.0  # x = 1 gets no mass
+        q_xy[2, 0] = 0.0
+        fitted = exact_fit(m, Dist.from_probs((q_xy / q_xy.sum()).ravel()))
+        assert np.array_equal(fitted.theta[1], m.theta[1])
+        cond = q_xy[[0, 2]] / q_xy[[0, 2]].sum(axis=1, keepdims=True)
+        assert np.isneginf(fitted.theta[2, 0])
+        assert np.max(np.abs(np.exp(fitted.theta[[0, 2]]) - cond)) <= 1e-15
 
 
 class TestMixtureModel:

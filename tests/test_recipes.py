@@ -125,11 +125,29 @@ class TestValidation:
         ({"pool": [1, 2]}, "pool"),
         ({"rule": {"atoms": {"A": [0.5]}, "expr": ["atom", "B"]}}, "rule"),
         ({"rho": None}, "rho"),
+        ({"n_components": [2]}, "n_components"),
     ])
     def test_malformed_bundle_names_its_key(self, payload, key):
         # tests/test_cli.py runs the dataset, mdp and non-object cases
         with pytest.raises(BundleError, match=f"^bundle key '{key}'"):
             load_bundle(payload)
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"oracle_labels": [0, 1.7]}, "oracle_labels"),
+        ({"oracle_labels": [0, float("inf")]}, "oracle_labels"),
+        ({"n_components": 2.9}, "n_components"),
+        ({"n_components": float("nan")}, "n_components"),
+    ])
+    def test_integer_field_rejects_a_non_integer(self, payload, key):
+        # truncation would run the recipe on a label or size nobody gave
+        with pytest.raises(BundleError,
+                           match=f"^bundle key '{key}' .*is not an integer"):
+            load_bundle(payload)
+
+    def test_integer_fields_load_integral_floats(self):
+        b = load_bundle({"oracle_labels": [0, 1.0, 2], "n_components": 3.0})
+        assert b.oracle_labels.tolist() == [0, 1, 2]
+        assert b.n_components == 3 and isinstance(b.n_components, int)
 
     def test_bundle_rule_weight(self):
         b = load_bundle({"domain": 2, "rule": {
@@ -223,6 +241,34 @@ class TestChecks:
             tracemalloc.stop()
         assert peak < n * n * 8
 
+    def test_augmentation_check_peak_memory_is_below_one_kernel(self):
+        # the enumeration oracle reads the payoff in row blocks too
+        import tracemalloc
+        n = 2000
+        g = np.random.default_rng(0)
+        b = ProblemBundle(dataset=Dataset(Domain.of_size(n),
+                                          g.integers(0, 9, n).astype(float) + 1),
+                          payoff=g.normal(size=(n, n)))
+        tracemalloc.start()
+        try:
+            rep = check_equivalence("data-augmentation", "enumeration", b, 1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep["passed"], rep
+        assert peak < n * n * 8 / 4
+
+    def test_interpolation_reads_no_payoff_mean_given_a_reward(self, rng):
+        class NoMean(np.ndarray):
+            def mean(self, *args, **kwargs):
+                raise AssertionError("payoff mean computed")
+
+        ds = Dataset(Domain.of_size(6), rng.integers(1, 9, 6).astype(float))
+        payoff = rng.normal(size=(6, 6)).view(NoMean)
+        res = run_recipe("interpolation-schedule", ProblemBundle(
+            dataset=ds, payoff=payoff, extras={"reward": np.zeros(6)}))
+        assert len(res.trace.records) == 30
+
     def test_active(self, rng):
         pool = Dataset(Domain.of_size(5), np.array([3.0, 1.0, 4.0, 2.0, 5.0]))
         b = ProblemBundle(pool=pool, oracle_labels=np.array([0, 1, 2, 0, 1]),
@@ -251,6 +297,23 @@ class TestChecks:
         rep = check_equivalence("policy-gradient", "exact-pg", b, 1e-8, seed=5)
         assert rep["passed"], rep
         assert rep["details"]["cosine"] >= 1 - 1e-8
+
+    @pytest.mark.parametrize("source", ["small", "gridworld"])
+    def test_reinforce_check_runs_the_reinforce_oracle(self, small_mdp,
+                                                       monkeypatch, source):
+        # the engine's exact gradient is the other oracle's target, not this one's
+        from sekit import mdp, recipes
+
+        def engine_gradient(*args, **kwargs):
+            raise AssertionError("exact_policy_gradient called")
+
+        monkeypatch.setattr(mdp, "exact_policy_gradient", engine_gradient)
+        monkeypatch.setattr(recipes, "exact_policy_gradient", engine_gradient)
+        b = (ProblemBundle(mdp=small_mdp) if source == "small" else
+             load_bundle(os.path.join(CONFIG_DIR, "gridworld.json")))
+        rep = check_equivalence("policy-gradient", "reinforce", b, 1e-8, seed=5)
+        assert rep["passed"] and rep["oracle"] == "reinforce", rep
+        assert rep["details"]["ratio_max_rel"] <= 1e-12
 
     def test_policy_gradient_run_solves_visitation_once(self, small_mdp, monkeypatch):
         # Z and the state-action model share the teacher's visitation

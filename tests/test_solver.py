@@ -9,11 +9,11 @@ from hypothesis.extra.numpy import arrays
 from sekit.core import AllNegInfinity, Dist, Domain, normalize_log
 from sekit.experience import ExperienceFn
 from sekit.models import (ConditionalSoftmaxModel, MixtureModel, SoftmaxModel,
-                          exact_fit, fit_to)
+                          exact_fit)
 from sekit.solver import (PlanGap, SEConfig, Segment, Trace,
-                          _decomposed_teacher, _step, _tilt_scores,
-                          mw_trajectory, mw_update, run, schedule, student_step,
-                          teacher_closed_form)
+                          _decomposed_teacher, _same_parameters, _step,
+                          _tilt_scores, mw_trajectory, mw_update, run,
+                          schedule, teacher_closed_form)
 
 
 def mk(raw):
@@ -152,26 +152,27 @@ class TestClosedFormTeacher:
 
 
 class TestStudent:
-    def test_exact(self, rng):
-        dom = Domain.of_size(5)
-        q = mk(rng.random(5) + 0.1)
-        m = student_step(q, SoftmaxModel.zeros(dom))
-        assert m.dist().tv(q) <= 1e-12
+    @staticmethod
+    def _models(rng):
+        flat = Domain.of_size(6)
+        prod = Domain.product(("a", "b", "c"), ("u", "v"))
+        return {
+            "softmax": (SoftmaxModel(rng.normal(size=6), flat), flat),
+            "conditional": (ConditionalSoftmaxModel(rng.normal(size=(3, 2)),
+                                                    prod), prod),
+            "mixture": (MixtureModel(rng.normal(size=2),
+                                     rng.normal(size=(2, 3)), prod), prod),
+        }
 
-    def test_conditional_takes_gradient_steps(self, rng):
-        dom = Domain.product(("a", "b", "c"), ("u", "v"))
-        m = ConditionalSoftmaxModel(rng.normal(size=(3, 2)), dom)
-        q = mk(rng.random(6) + 0.1)
-        assert np.array_equal(student_step(q, m).theta,
-                              fit_to(m, q, steps=40).theta)
-
-    def test_mixture_takes_exact_fit(self, rng):
-        dom = Domain.product(("a", "b", "c"), ("k0", "k1"))
-        m = MixtureModel(rng.normal(size=2), rng.normal(size=(2, 3)), dom)
-        q = mk(rng.random(6) + 0.1)
-        got, want = student_step(q, m), exact_fit(m, q)
-        assert np.array_equal(got.mixture_logits, want.mixture_logits)
-        assert np.array_equal(got.component_logits, want.component_logits)
+    @pytest.mark.parametrize("kind", ["softmax", "conditional", "mixture"])
+    def test_step_installs_the_exact_fit(self, rng, kind):
+        # every family's student is exact_fit of the step's teacher
+        model, dom = self._models(rng)[kind]
+        fn = ExperienceFn.from_vector(dom, rng.normal(size=6))
+        cfg = SEConfig(alpha=0.7, beta=0.5, experience=fn)
+        got, q, _ = _step(cfg, model, dom, np.full(3, 1 / 3), None, Trace(), 1)
+        assert _same_parameters(got, exact_fit(model, q))
+        assert not _same_parameters(got, model)
 
 
 class TestDecomposedTeacher:
@@ -353,9 +354,10 @@ class TestRunAndTrace:
         _, trace = run(cfg, SoftmaxModel.zeros(fn.domain), fn.domain)
         assert not trace.converged and len(trace.records) == 9
 
-    def test_repeated_teacher_with_a_moving_model_does_not_stop(self, rng):
-        # at beta = 0 q ignores the model, so every teacher is the same bits,
-        # while fit_to's gradient steps still move theta toward it
+    def test_conditional_at_beta_zero_stops_at_the_fixed_point(self, rng):
+        # at beta = 0 q ignores the model, so every teacher is the same bits
+        # and the exact student installs the same logits from the second
+        # step on
         dom = Domain.product(("a", "b", "c"), ("u", "v"))
         fn = ExperienceFn.from_vector(dom, rng.normal(size=6))
         cfg = SEConfig(beta=0.0, experience=fn, max_iters=50)
@@ -363,11 +365,35 @@ class TestRunAndTrace:
         model = ConditionalSoftmaxModel(np.zeros((3, 2)), dom)
         _, trace = run(cfg, model, dom, p_x=np.full(3, 1 / 3),
                        callback=lambda n, q, m: seen.append((q, m)))
-        assert len(trace.records) == 6  # the objective rule, not a fixed point
-        first = seen[0][0].logp.view(np.uint64)
-        assert all(np.array_equal(q.logp.view(np.uint64), first) for q, _ in seen)
-        thetas = [m.theta for _, m in seen]
-        assert all(not np.array_equal(a, b) for a, b in zip(thetas, thetas[1:]))
+        assert trace.converged and len(trace.records) == 2
+        (q1, m1), (q2, m2) = seen
+        assert np.array_equal(q1.logp.view(np.uint64), q2.logp.view(np.uint64))
+        assert np.array_equal(m1.theta.view(np.uint64), m2.theta.view(np.uint64))
+        want = np.exp(fn.values().reshape(3, 2))
+        want /= want.sum(axis=1, keepdims=True)
+        assert np.max(np.abs(m2.probs() - want)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_softmax_at_half_beta_stops_on_the_objective(self, seed):
+        # q = p^(1/2) e^f / Z halves the log-space distance to p* = e^(2f) / Z
+        # each step, so theta never repeats bit for bit: the objective rule stops
+        # the run once five changes fall below objective_tol
+        rng = np.random.default_rng(seed)
+        dom = Domain.of_size(8)
+        fn = ExperienceFn.from_vector(dom, rng.normal(size=8))
+        cfg = SEConfig(alpha=1.0, beta=0.5, experience=fn, max_iters=200)
+        thetas = []
+        model, trace = run(cfg, SoftmaxModel.zeros(dom), dom,
+                           callback=lambda n, q, m: thetas.append(m.theta))
+        n = len(trace.records)
+        assert trace.converged and 6 < n < 200
+        totals = [r.total for r in trace.records]
+        assert all(abs(b - a) < cfg.objective_tol
+                   for a, b in zip(totals[-6:], totals[-5:]))
+        assert abs(totals[-7] - totals[-6]) >= cfg.objective_tol
+        assert not np.array_equal(thetas[-2], thetas[-1])
+        want = np.exp(2 * fn.values())
+        assert model.dist().tv(Dist.from_probs(want / want.sum())) <= 1e-4
 
 
 class TestMW:
