@@ -13,21 +13,17 @@ from typing import Optional
 import numpy as np
 
 from .core import Dist
-from .divergence import DivergenceFn, NonConvergence, divergence
+from .divergence import DivergenceFn, NonConvergence, divergence, divergence_grad_q
 from .models import SoftmaxModel
 from .solver import ModeUnsupported, Trace, teacher_closed_form
 
 MODES = ("classifier", "lipschitz_critic")
 # the GAN loop stops, converged, once TV(p_theta, p_data) <= TV_TOL
 TV_TOL = 1e-3
-# the GAN loop's discriminator ascent and its vanilla-GAN model step
+# the PPO-GAN discriminator ascent and the vanilla-GAN model step
 DISC_STEPS = 5
 DISC_STEP_SIZE = 4.0
 MODEL_STEP_SIZE = 0.5
-# the vanilla-GAN classifier polish (_newton_classifier)
-POLISH_MAX_ITERS = 60
-POLISH_STEP_TOL = 1e-12
-POLISH_STEP_CLIP = 4.0
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -42,12 +38,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     t = np.log1p(np.exp(-np.abs(x)))
     return np.where(x >= 0, -t, x - t)
-
-
-def _log_sigmoid_pair(x: np.ndarray):
-    """log sigmoid(x) and log sigmoid(-x), both from one log1p(exp(-|x|))."""
-    t = np.log1p(np.exp(-np.abs(x)))
-    return np.where(x >= 0, -t, x - t), np.where(x <= 0, -t, -x - t)
 
 
 @dataclass(frozen=True)
@@ -129,26 +119,9 @@ def _project_lipschitz(phi: np.ndarray, clip: float, gaps: np.ndarray) -> np.nda
     return out
 
 
-def discriminator_objective(disc: Discriminator, p_data: Dist, q: Dist,
-                            objective: str = "separation") -> float:
-    """separation: E_pd[f] - E_q[f].  classification: the binary real/fake
-    log-likelihood E_pd[log sigma] + E_q[log(1 - sigma)]."""
-    if objective == "separation":
-        f = disc.f_values()
-        return p_data.expect(f) - q.expect(f)
-    if objective != "classification":
-        raise ValueError(f"unknown objective {objective!r}")
-    if disc.mode != "classifier":
-        raise ModeUnsupported("classification objective needs classifier mode")
-    log_real, log_fake = _log_sigmoid_pair(disc.phi)
-    return p_data.expect(log_real) + q.expect(log_fake)
-
-
-def discriminator_gradient(disc: Discriminator, p_data: Dist, q: Dist,
-                           objective: str = "separation") -> np.ndarray:
-    if objective == "classification":
-        s = _sigmoid(disc.phi)
-        return p_data.p * (1.0 - s) - q.p * s
+def discriminator_gradient(disc: Discriminator, p_data: Dist,
+                           q: Dist) -> np.ndarray:
+    """Gradient in phi of the separation E_pd[f_phi] - E_q[f_phi]."""
     f_grad = (_sigmoid(-disc.phi) if disc.mode == "classifier"
               else np.ones_like(disc.phi))
     return (p_data.p - q.p) * f_grad
@@ -157,30 +130,29 @@ def discriminator_gradient(disc: Discriminator, p_data: Dist, q: Dist,
 def discriminator_update(disc: Discriminator, p_data: Dist, q: Dist,
                          steps: int = 1, step_size: float = 1.0,
                          objective: str = "separation") -> Discriminator:
-    """Gradient-ascend the chosen objective with backtracking.  A Lipschitz
-    critic on the separation objective is maximised exactly in one call, so
-    steps and step_size do not apply to it."""
+    """The exact maximiser of the objective: a classifier on "classification"
+    (E_pd[log sigma] + E_q[log(1 - sigma)]) gets phi = log p_d - log q, so
+    sigma = p_d / (p_d + q) (Goodfellow et al. 2014, Prop. 1); a Lipschitz
+    critic on "separation" gets its box ascent; any other pair raises
+    ModeUnsupported.  Where exactly one of p_d and q is zero phi* is
+    infinite, and NonConvergence names the first such t; where both are zero
+    phi stays.  steps and step_size are read by nothing: they stay only
+    because the benchmark's discriminator_update kernels pass them."""
     if q.size != disc.phi.size or p_data.size != disc.phi.size:
         raise ValueError("distribution sizes do not match the discriminator")
     if disc.mode == "lipschitz_critic" and objective == "separation":
         return _lipschitz_box_ascent(disc, p_data, q)
+    if disc.mode != "classifier" or objective != "classification":
+        raise ModeUnsupported(
+            f"no exact {objective!r} fit for a {disc.mode} discriminator")
+    real, fake = p_data.p > 0, q.p > 0
+    one_sided = np.flatnonzero(real != fake)
+    if one_sided.size:
+        raise NonConvergence(
+            f"the optimal classifier is infinite at t = {one_sided[0]}, where "
+            "exactly one of p_data and q is zero")
     phi = disc.phi.copy()
-    obj = discriminator_objective(disc, p_data, q, objective)
-    for _ in range(steps):
-        cur = disc.with_phi(phi)
-        grad = discriminator_gradient(cur, p_data, q, objective)
-        eta = step_size
-        accepted = False
-        for _halving in range(40):
-            cand = disc.with_phi(phi + eta * grad)  # constructor projects
-            new_obj = discriminator_objective(cand, p_data, q, objective)
-            if new_obj >= obj:
-                accepted = True
-                break
-            eta /= 2.0
-        if not accepted:
-            break
-        phi, obj = cand.phi.copy(), new_obj
+    phi[real] = p_data.logp[real] - q.logp[real]
     return disc.with_phi(phi)
 
 
@@ -204,39 +176,6 @@ def _lipschitz_box_ascent(disc: Discriminator, p_data: Dist,
     return disc.with_phi(phi)
 
 
-def _newton_classifier(disc: Discriminator, p_data: Dist,
-                       q: Dist) -> Discriminator:
-    """Maximise the classification objective by per-coordinate Newton ascent.
-
-    E_pd[log sigma(phi)] + E_q[log(1 - sigma(phi))] is separable in phi:
-    coordinate t has gradient p_d(1 - sigma) - q sigma and curvature
-    -(p_d + q) sigma (1 - sigma), so each coordinate takes its own Newton
-    step, clipped to +-POLISH_STEP_CLIP.  Where the curvature underflows to
-    zero the step is the clip in the gradient's sign; where p_d + q = 0 both
-    vanish and phi stays.  Stops once the largest step is at most
-    POLISH_STEP_TOL, and raises NonConvergence if that has not happened after
-    POLISH_MAX_ITERS steps, as on a point where exactly one of p_d and q is
-    zero: its optimal phi is infinite.
-    """
-    mass = p_data.p + q.p
-    phi = disc.phi.copy()
-    for _ in range(POLISH_MAX_ITERS):
-        s, r = _sigmoid(phi), _sigmoid(-phi)  # r = 1 - sigma, without cancellation
-        grad = p_data.p * r - q.p * s
-        curv = mass * s * r
-        step = np.divide(grad, curv, out=np.sign(grad) * POLISH_STEP_CLIP,
-                         where=curv > 0)
-        step = np.minimum(np.maximum(step, -POLISH_STEP_CLIP), POLISH_STEP_CLIP)
-        phi += step
-        residual = float(np.abs(step).max())
-        if residual <= POLISH_STEP_TOL:
-            return disc.with_phi(phi)
-    raise NonConvergence(
-        f"classifier polish step {residual:.3e} > {POLISH_STEP_TOL:.1e} "
-        f"after {POLISH_MAX_ITERS} iterations", iterations=POLISH_MAX_ITERS,
-        residual=residual)
-
-
 def reweighted_discriminator_gradient(disc: Discriminator, p_data: Dist,
                                       p_theta: Dist) -> np.ndarray:
     """Gradient of -(1/Z) E_{p_theta}[e^{f_phi} f_phi] + E_pd[f_phi] in phi,
@@ -247,7 +186,7 @@ def reweighted_discriminator_gradient(disc: Discriminator, p_data: Dist,
     alpha = beta = 1 with f = f_phi.
     """
     q = teacher_closed_form(p_theta, disc.f_values(), 1.0, 1.0)
-    return discriminator_gradient(disc, p_data, q, "separation")
+    return discriminator_gradient(disc, p_data, q)
 
 
 def reweighted_discriminator_update(disc: Discriminator, p_data: Dist,
@@ -292,15 +231,15 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
                     coords: Optional[np.ndarray] = None) -> AdversarialResult:
     """Alternating discriminator / model updates for the zero-entropy recipes.
 
-    Each iteration fits the discriminator to the current p_theta, then moves
-    p_theta by one probability-functional-descent step (Chu, Blanchet & Glynn,
-    ICML 2019), p_theta exp(-eta psi) / Z: the teacher at alpha = beta = 1 with
-    f = -eta psi, along the recipe's estimate psi of the influence function:
+    Each iteration moves p_theta by one probability-functional-descent step
+    (Chu, Blanchet & Glynn, ICML 2019), p_theta exp(-eta psi) / Z: the teacher
+    at alpha = beta = 1 with f = -eta psi, along the recipe's influence
+    function psi at the current p_theta:
 
       recipe          discriminator             psi                 eta
-      "vanilla_gan"   classifier, DISC_STEPS    0.5 log(1 - sigma), MODEL_STEP_SIZE
-                      ascent steps on the       centred
-                      classification objective
+      "vanilla_gan"   none in the loop; psi     0.5 log(1 - sigma*), MODEL_STEP_SIZE
+                      is the JS gradient in p,  centred, with
+                      divergence_grad_q         sigma* = p_d / (p_d + p)
       "wgan"          Lipschitz critic, fitted  mean(phi) - phi     W1 / Var_p(phi)
                       to the separation
       "ppo_gan"       classifier, DISC_STEPS    -f_phi              1
@@ -315,11 +254,10 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
     tilt q = p_theta e^f / Z.  The returned model is built once, from the
     final p_theta.
 
-    After the loop the discriminator is fitted to the final model: the
-    vanilla-GAN classifier by per-coordinate Newton ascent (`_newton_classifier`,
-    which raises NonConvergence at its iteration cap), the W-GAN critic by its
-    exact box ascent.  The trace records the divergence to p_data (JS, or W1
-    for "wgan").
+    After the loop the discriminator is fitted exactly to the final model:
+    the vanilla-GAN classifier (which raises NonConvergence where exactly one
+    of p_data and p_theta is zero), the W-GAN critic by its box ascent.  The
+    trace records the divergence to p_data (JS, or W1 for "wgan").
     """
     if recipe not in ("vanilla_gan", "wgan", "ppo_gan"):
         raise ValueError(f"unknown adversarial recipe {recipe!r}")
@@ -338,14 +276,10 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
             disc = reweighted_discriminator_update(disc, p_data, p_theta)
             psi, eta = -disc.f_values(), 1.0
         elif recipe == "vanilla_gan":
-            disc = discriminator_update(disc, p_data, p_theta, steps=DISC_STEPS,
-                                        step_size=DISC_STEP_SIZE,
-                                        objective="classification")
-            psi = 0.5 * _log_sigmoid(-disc.phi)  # 0.5 log(1 - sigma)
+            psi = divergence_grad_q(div, p_theta, p_data)
             psi, eta = psi - psi.mean(), MODEL_STEP_SIZE
         else:  # wgan: the box ascent is exact, so it takes no steps
-            disc = discriminator_update(disc, p_data, p_theta,
-                                        objective="separation")
+            disc = discriminator_update(disc, p_data, p_theta)
             w1, var = _critic_gap_and_variance(disc, p_data, p_theta)
             if not (w1 > 0.0 and var > 0.0):  # the critic sees no separation
                 trace.converged = p_theta.tv(p_data) <= TV_TOL
@@ -361,12 +295,10 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
     else:
         trace.converged = False
     if recipe == "vanilla_gan":
-        # solve for the classifier against the final model, so that sigma is
-        # the optimum p_d / (p_d + q) at the returned pair
-        disc = _newton_classifier(disc, p_data, p_theta)
-    elif recipe == "wgan":
-        # polish the critic against the final model so its objective reflects
-        # the actual W1 gap of the returned pair
         disc = discriminator_update(disc, p_data, p_theta,
-                                    objective="separation")
+                                    objective="classification")
+    elif recipe == "wgan":
+        # refit the critic against the final model so its objective reflects
+        # the actual W1 gap of the returned pair
+        disc = discriminator_update(disc, p_data, p_theta)
     return AdversarialResult(model.with_theta(p_theta.logp), disc, trace)

@@ -132,7 +132,10 @@ def load_bundle(payload) -> ProblemBundle:
                                  _floats(spec["counts"]))
             else:
                 setattr(b, key, _PLAIN[key](spec))
-        except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        except BundleError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError,
+                IndexError) as exc:
             raise BundleError(f"bundle key {key!r} is malformed "
                               f"({type(exc).__name__}: {exc})") from None
     return b

@@ -146,6 +146,27 @@ def gan_optimum(p_data: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def vanilla_gan(p_data: np.ndarray, theta0: np.ndarray, eta: float,
+                tol: float, iters: int) -> Tuple[np.ndarray, List[float]]:
+    """The vanilla GAN against its optimal classifier, from softmax(theta0):
+    p <- p exp(-eta (psi - mean psi)) / Z with psi = 0.5 log(p / (p_data + p)),
+    the generator's loss 0.5 log(1 - sigma*) at sigma* = p_data / (p_data + p),
+    until the TV to p_data is at most tol, for at most `iters` steps.
+    Returns the final p and the TV after each step."""
+    p_data = np.asarray(p_data, dtype=float)
+    p = np.exp(theta0 - np.max(theta0))
+    p = p / p.sum()
+    tvs = []
+    for _ in range(iters):
+        psi = 0.5 * np.log(p / (p_data + p))
+        p = p * np.exp(-eta * (psi - psi.mean()))
+        p = p / p.sum()
+        tvs.append(0.5 * float(np.abs(p - p_data).sum()))
+        if tvs[-1] <= tol:
+            break
+    return p, tvs
+
+
 def finite_difference_gradient(fn: Callable[[np.ndarray], float],
                                x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences, one coordinate at a time."""

@@ -229,8 +229,6 @@ def _step(config: SEConfig, model: Model, domain: Domain,
         tv = model_dist(model, p_x).tv(reference)
     trace.add(iteration=iteration, neg_alpha_h=neg_h, beta_d=d_term,
               neg_e_q_f=neg_f, total=total, tv_to_ref=tv, tag=tag)
-    if config.experience is not None and config.experience.diagnostics:
-        trace.diagnostics.update(config.experience.diagnostics)
     return model, q, total
 
 

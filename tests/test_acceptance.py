@@ -13,7 +13,6 @@ from scipy.special import logsumexp
 
 import sekit.oracles as oracles
 from sekit.adversarial import (Discriminator, discriminator_gradient,
-                               discriminator_objective,
                                reweighted_discriminator_gradient, tilted_q)
 from sekit.bundles import ProblemBundle
 from sekit.core import Dist, Domain, entropy, entropy_grad
@@ -132,8 +131,7 @@ def test_07_reweighted_discriminator_identity():
         disc = Discriminator(rng.normal(size=n), "classifier")
         p_d = Dist.from_probs(rng.dirichlet(np.ones(n)))
         g1 = reweighted_discriminator_gradient(disc, p_d, model.dist())
-        g2 = discriminator_gradient(disc, p_d, tilted_q(model, disc),
-                                    "separation")
+        g2 = discriminator_gradient(disc, p_d, tilted_q(model, disc))
         worst = max(worst, float(np.max(np.abs(g1 - g2))))
     report("7 importance-reweighted discriminator gradient identity",
            worst <= 1e-10, f"worst dev {worst:.2e} over 100 instances")
@@ -249,13 +247,16 @@ def test_12_gradient_hygiene():
         fd = finite_difference_gradient(
             lambda t: q.expect(SoftmaxModel(t, dom).log_probs()), theta)
         worst = max(worst, rel(g, fd))
-        # discriminator gradient
+        # discriminator gradient: a classifier's separation E_p[f] - E_q[f]
         phi = rng.normal(size=n)
         d = Discriminator(phi, "classifier")
-        g = discriminator_gradient(d, p, q, "classification")
-        fd = finite_difference_gradient(
-            lambda ph: discriminator_objective(Discriminator(ph, "classifier"),
-                                               p, q, "classification"), phi)
+        g = discriminator_gradient(d, p, q)
+
+        def sep(ph):
+            f = Discriminator(ph, "classifier").f_values()
+            return p.expect(f) - q.expect(f)
+
+        fd = finite_difference_gradient(sep, phi)
         worst = max(worst, rel(g, fd))
     report("12 gradient hygiene vs central finite differences",
            worst <= 1e-5, f"worst relative dev {worst:.2e} over 50 points")

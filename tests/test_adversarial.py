@@ -8,9 +8,8 @@ from sekit import adversarial, solver
 from sekit.adversarial import (Discriminator, ModeUnsupported,
                                _critic_gap_and_variance,
                                _lipschitz_box_ascent, _log_sigmoid,
-                               _log_sigmoid_pair, _project_lipschitz, _sigmoid,
-                               adversarial_run, discriminator_gradient,
-                               discriminator_objective, discriminator_update,
+                               _project_lipschitz, _sigmoid, adversarial_run,
+                               discriminator_gradient, discriminator_update,
                                reweighted_discriminator_gradient,
                                reweighted_discriminator_update, tilted_q)
 from sekit.bundles import load_bundle
@@ -25,6 +24,12 @@ GAN_TARGET = Path(__file__).resolve().parent.parent / "configs" / "gan_target.js
 
 def mk(rng, n):
     return Dist.from_probs(rng.dirichlet(np.ones(n)))
+
+
+def separation(disc, p_d, q):
+    """E_pd[f] - E_q[f], the objective discriminator_gradient differentiates."""
+    f = disc.f_values()
+    return float(p_d.p @ f - q.p @ f)
 
 
 class TestDiscriminator:
@@ -61,26 +66,14 @@ class TestDiscriminator:
 
 
 class TestGradients:
-    def test_classification_gradient_fd(self, rng):
-        n = 6
-        p_d, q = mk(rng, n), mk(rng, n)
-        phi = rng.normal(size=n)
-        d = Discriminator(phi, "classifier")
-        g = discriminator_gradient(d, p_d, q, "classification")
-        fd = finite_difference_gradient(
-            lambda ph: discriminator_objective(
-                Discriminator(ph, "classifier"), p_d, q, "classification"), phi)
-        assert np.max(np.abs(g - fd)) <= 1e-7
-
     def test_separation_gradient_fd(self, rng):
         n = 6
         p_d, q = mk(rng, n), mk(rng, n)
         phi = rng.normal(size=n)
         d = Discriminator(phi, "classifier")
-        g = discriminator_gradient(d, p_d, q, "separation")
+        g = discriminator_gradient(d, p_d, q)
         fd = finite_difference_gradient(
-            lambda ph: discriminator_objective(
-                Discriminator(ph, "classifier"), p_d, q, "separation"), phi)
+            lambda ph: separation(Discriminator(ph, "classifier"), p_d, q), phi)
         assert np.max(np.abs(g - fd)) <= 1e-7
 
     def test_lipschitz_separation_gradient_fd(self, rng):
@@ -90,19 +83,12 @@ class TestGradients:
         p_d, q = mk(rng, n), mk(rng, n)
         phi = np.cumsum(rng.uniform(-0.5, 0.5, size=n))
         d = Discriminator(phi, "lipschitz_critic", clip=1.0)
-        g = discriminator_gradient(d, p_d, q, "separation")
+        g = discriminator_gradient(d, p_d, q)
         fd = finite_difference_gradient(
-            lambda ph: discriminator_objective(
-                Discriminator(ph, "lipschitz_critic", clip=1.0), p_d, q,
-                "separation"), phi)
+            lambda ph: separation(
+                Discriminator(ph, "lipschitz_critic", clip=1.0), p_d, q), phi)
         assert np.max(np.abs(g - fd)) <= 1e-7
         assert np.max(np.abs(g - (p_d.p - q.p))) <= 1e-15
-
-    def test_classification_objective_guard(self):
-        d = Discriminator(np.zeros(3), "lipschitz_critic")
-        with pytest.raises(ModeUnsupported):
-            discriminator_objective(d, Dist.uniform(3), Dist.uniform(3),
-                                    "classification")
 
 
 class TestClassifierOptimum:
@@ -110,9 +96,29 @@ class TestClassifierOptimum:
         n = 8
         p_d, q = mk(rng, n), mk(rng, n)
         d = Discriminator(np.zeros(n), "classifier")
-        d = discriminator_update(d, p_d, q, steps=500, step_size=4.0,
+        d = discriminator_update(d, p_d, q, objective="classification")
+        assert np.max(np.abs(d.sigma() - gan_optimum(p_d.p, q.p))) <= 1e-12
+
+    def test_unsupported_pairs_raise(self):
+        u = Dist.uniform(3)
+        for mode, objective in (("lipschitz_critic", "classification"),
+                                ("classifier", "separation")):
+            with pytest.raises(ModeUnsupported):
+                discriminator_update(Discriminator(np.zeros(3), mode), u, u,
+                                     objective=objective)
+
+    def test_zero_masses(self):
+        # both zero: phi stays; exactly one zero: phi* is infinite there
+        p_d = Dist.from_probs(np.array([0.5, 0.0, 0.5, 0.0]))
+        q = Dist.from_probs(np.array([0.25, 0.0, 0.75, 0.0]))
+        d = discriminator_update(Discriminator(np.full(4, 3.0)), p_d, q,
                                  objective="classification")
-        assert np.max(np.abs(d.sigma() - gan_optimum(p_d.p, q.p))) <= 1e-6
+        assert d.phi[1] == d.phi[3] == 3.0
+        assert np.max(np.abs(d.phi[[0, 2]] - np.log([2.0, 0.5 / 0.75]))) <= 1e-15
+        q = Dist.from_probs(np.array([0.25, 0.0, 0.5, 0.25]))
+        with pytest.raises(NonConvergence, match="t = 3"):
+            discriminator_update(Discriminator(np.zeros(4)), p_d, q,
+                                 objective="classification")
 
 
 class TestReweightedIdentity:
@@ -123,8 +129,7 @@ class TestReweightedIdentity:
             disc = Discriminator(rng.normal(size=n), "classifier")
             p_d = mk(rng, n)
             g1 = reweighted_discriminator_gradient(disc, p_d, model.dist())
-            g2 = discriminator_gradient(disc, p_d, tilted_q(model, disc),
-                                        "separation")
+            g2 = discriminator_gradient(disc, p_d, tilted_q(model, disc))
             assert np.max(np.abs(g1 - g2)) <= 1e-10
 
 
@@ -133,8 +138,8 @@ class TestLipschitzCritic:
         n = 9
         p_d, q = mk(rng, n), mk(rng, n)
         d = Discriminator(np.zeros(n), "lipschitz_critic", clip=1.0)
-        d = discriminator_update(d, p_d, q, steps=1, objective="separation")
-        obj = discriminator_objective(d, p_d, q, "separation")
+        d = discriminator_update(d, p_d, q)
+        obj = separation(d, p_d, q)
         exact = w1(q, p_d, np.arange(n, dtype=float))
         assert obj == pytest.approx(exact, abs=1e-12)
 
@@ -270,15 +275,25 @@ class TestClassifierPolish:
             assert rep["passed"], p
             assert rep["details"]["final_tv"] <= 1e-3
             assert rep["details"]["sigma_max_abs"] <= 1e-4
+            # inf if the replay took a different number of iterations
+            assert rep["details"]["replay_max_abs"] <= 1e-12
 
-    def test_iteration_cap_raises_with_residual(self, gan_target, monkeypatch):
-        monkeypatch.setattr(adversarial, "POLISH_MAX_ITERS", 1)
-        model = SoftmaxModel(np.zeros(10), Domain.of_size(10))
-        with pytest.raises(NonConvergence) as info:
-            adversarial_run("vanilla_gan", gan_target, model)
-        assert info.value.iterations == 1
-        assert info.value.residual > adversarial.POLISH_STEP_TOL
-        assert np.isfinite(info.value.residual)
+    def test_committed_target_matches_the_replay(self):
+        bundle = load_bundle(str(GAN_TARGET))
+        for seed in list(range(11)) + [97]:
+            rep = check_equivalence("vanilla-gan", "gan-optimum", bundle, 1e-3,
+                                    seed=seed)
+            assert rep["passed"], seed
+            assert rep["details"]["replay_max_abs"] <= 1e-12, seed
+
+    def test_check_fails_a_drifted_step(self, monkeypatch):
+        # the replay states the step size itself, so an engine step that
+        # drifts from 0.5 takes a different path and fails the check
+        monkeypatch.setattr(adversarial, "MODEL_STEP_SIZE", 0.6)
+        rep = check_equivalence("vanilla-gan", "gan-optimum",
+                                load_bundle(str(GAN_TARGET)), 1e-3, seed=1)
+        assert not rep["passed"]
+        assert rep["details"]["final_tv"] <= 1e-3
 
     def test_zero_mass_point_raises(self):
         # p_data(t) = 0 < q(t): the optimal classifier has phi_t = -inf
@@ -312,16 +327,13 @@ class TestHelpersBitForBit:
         out[1:] = phi[0] + np.cumsum(diffs)
         return out
 
-    def test_log_sigmoid_and_pair(self, rng):
+    def test_log_sigmoid(self, rng):
         x = np.concatenate([self.EDGES, rng.normal(size=200) * 30.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             one = _log_sigmoid(x)
-            real, fake = _log_sigmoid_pair(x)
-            old_real, old_fake = self._old_log_sigmoid(x), self._old_log_sigmoid(-x)
-        assert np.array_equal(_bits(one), _bits(old_real))
-        assert np.array_equal(_bits(real), _bits(old_real))
-        assert np.array_equal(_bits(fake), _bits(old_fake))
+            old = self._old_log_sigmoid(x)
+        assert np.array_equal(_bits(one), _bits(old))
 
     def test_project_lipschitz(self, rng):
         with warnings.catch_warnings():

@@ -205,7 +205,7 @@ class TestRun:
         code = main(["run", "--config", str(tmp_path / "run.json"),
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "classifier polish" in capsys.readouterr().err
+        assert "optimal classifier is infinite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("recipe, bundle, word", [
         ("supervised-mle", {"dataset": {"labels": ["a", "b"]}}, "'dataset'"),

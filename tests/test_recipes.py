@@ -126,6 +126,8 @@ class TestValidation:
         ({"rule": {"atoms": {"A": [0.5]}, "expr": ["atom", "B"]}}, "rule"),
         ({"rho": None}, "rho"),
         ({"n_components": [2]}, "n_components"),
+        ({"rho": "abc"}, "rho"),
+        ({"p_data": ["a", 1]}, "p_data"),
     ])
     def test_malformed_bundle_names_its_key(self, payload, key):
         # tests/test_cli.py runs the dataset, mdp and non-object cases

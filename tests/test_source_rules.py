@@ -3,8 +3,9 @@
 no `SEConfig` field that nothing reads, no import that nothing uses, no
 engine definition that only tests reach, no engine definition that only
 the benchmark reaches unless it is listed, no engine option (a defaulted
-parameter) that no caller passes (each allow-list entry of these rules
-must still be needed), no engine import in the oracles, no
+parameter) that no caller passes, no engine parameter that its function
+does not read (each allow-list entry of these rules must still be
+needed), no engine import in the oracles, no
 `scipy.special` in the engine, no `scipy.sparse` anywhere in sekit (its
 import alone raises every run's peak memory and set-up time; the MDP kernels
 read P's sparse view as plain numpy arrays), one linear-solve path:
@@ -155,7 +156,6 @@ def test_no_unused_import(path):
 
 # Engine definitions that only tests name, each kept for the check it serves.
 _TEST_ONLY = {
-    "divergence_grad_q": "analytic q-gradients the divergence tests check",
     "entropy_grad": "the analytic entropy gradient the acceptance test checks",
     "policy_value": "J, which the policy-gradient test differentiates",
 }
@@ -344,6 +344,55 @@ def test_every_engine_option_has_a_caller():
             if not any(fnmatch(name, p) for p in _UNPASSED_OPTIONS)] == []
     assert [p for p in _UNPASSED_OPTIONS
             if not any(fnmatch(name, p) for name, _ in unset)] == []
+
+
+# Engine parameters their function does not read, each with its reason.
+_UNREAD_PARAMETERS = {
+    "_run_*": (("config", "bundle", "seed"),
+               "the runner protocol: run_recipe passes all three"),
+    "evaluate": (("self", "atoms", "n"),
+                 "the soft-logic node protocol: every node takes all three"),
+    "discriminator_update": (("steps", "step_size"),
+                             "the benchmark's kernels pass them; item 21 "
+                             "drops them with the kernel change"),
+}
+
+
+def _functions(tree):
+    # module-level functions and methods
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (sub for sub in node.body
+                        if isinstance(sub, ast.FunctionDef))
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is accepted and ignored;
+    # a nested function or lambda that reads it counts.  Each entry of
+    # _UNREAD_PARAMETERS must still match an unread parameter
+    unread = []
+    for path in MODULES:
+        if path.name == "oracles.py":
+            continue
+        for node in _functions(_parse(path)):
+            a = node.args
+            params = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
+                      + [x for x in (a.vararg, a.kwarg) if x is not None]]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(node.name, arg, f"{path.name}:{node.lineno}: "
+                        f"{node.name}({arg})")
+                       for arg in params if arg not in read]
+
+    def allowed(name, arg, pattern):
+        return fnmatch(name, pattern) and arg in _UNREAD_PARAMETERS[pattern][0]
+
+    assert [where for name, arg, where in unread
+            if not any(allowed(name, arg, p) for p in _UNREAD_PARAMETERS)] == []
+    assert [p for p in _UNREAD_PARAMETERS
+            if not any(allowed(name, arg, p) for name, arg, _ in unread)] == []
 
 
 # Tilts outside the teacher, each tied to the ROADMAP item that removes it.
