@@ -348,8 +348,9 @@ def test_every_engine_option_has_a_caller():
 
 # Engine parameters their function does not read, each with its reason.
 _UNREAD_PARAMETERS = {
-    "_run_*": (("config", "bundle", "seed"),
-               "the runner protocol: run_recipe passes all three"),
+    "_run_*": (("config", "seed"),
+               "the runner protocol: run_recipe passes config, bundle and "
+               "seed"),
     "evaluate": (("self", "atoms", "n"),
                  "the soft-logic node protocol: every node takes all three"),
     "discriminator_update": (("steps", "step_size"),
@@ -370,8 +371,8 @@ def _functions(tree):
 
 def test_every_parameter_is_read():
     # a parameter that its function never reads is accepted and ignored;
-    # a nested function or lambda that reads it counts.  Each entry of
-    # _UNREAD_PARAMETERS must still match an unread parameter
+    # a nested function or lambda that reads it counts.  Each parameter
+    # named in _UNREAD_PARAMETERS must still be unread somewhere
     unread = []
     for path in MODULES:
         if path.name == "oracles.py":
@@ -391,8 +392,10 @@ def test_every_parameter_is_read():
 
     assert [where for name, arg, where in unread
             if not any(allowed(name, arg, p) for p in _UNREAD_PARAMETERS)] == []
-    assert [p for p in _UNREAD_PARAMETERS
-            if not any(allowed(name, arg, p) for name, arg, _ in unread)] == []
+    used = {(p, arg) for name, arg, _ in unread for p in _UNREAD_PARAMETERS
+            if allowed(name, arg, p)}
+    assert [(p, arg) for p, (args, _) in _UNREAD_PARAMETERS.items()
+            for arg in args if (p, arg) not in used] == []
 
 
 # Tilts outside the teacher, each tied to the ROADMAP item that removes it.
