@@ -133,15 +133,19 @@ def discriminator_update(disc: Discriminator, p_data: Dist, q: Dist,
     """The exact maximiser of the objective: a classifier on "classification"
     (E_pd[log sigma] + E_q[log(1 - sigma)]) gets phi = log p_d - log q, so
     sigma = p_d / (p_d + q) (Goodfellow et al. 2014, Prop. 1); a Lipschitz
-    critic on "separation" gets its box ascent; any other pair raises
-    ModeUnsupported.  Where exactly one of p_d and q is zero phi* is
-    infinite, and NonConvergence names the first such t; where both are zero
-    phi stays.  steps and step_size are read by nothing: they stay only
-    because the benchmark's discriminator_update kernels pass them."""
+    critic on "separation" gets phi_0 + clip (g_0 - g), with g the W1
+    gradient `divergence_grad_q` in q; any other pair raises ModeUnsupported.
+    Where exactly one of p_d and q is zero phi* is infinite, and
+    NonConvergence names the first such t; where both are zero phi stays.
+    steps and step_size are read by nothing: they stay only because the
+    benchmark's discriminator_update kernels pass them."""
     if q.size != disc.phi.size or p_data.size != disc.phi.size:
         raise ValueError("distribution sizes do not match the discriminator")
     if disc.mode == "lipschitz_critic" and objective == "separation":
-        return _lipschitz_box_ascent(disc, p_data, q)
+        # 1-D LP duality: the critic's slope is clip * sign(F_q - F_pd) on
+        # each gap (0 where the CDFs meet), so the separation is clip * W1
+        g = divergence_grad_q(DivergenceFn("w1", disc.coords), q, p_data)
+        return disc.with_phi(disc.phi[0] + disc.clip * (g[0] - g))
     if disc.mode != "classifier" or objective != "classification":
         raise ModeUnsupported(
             f"no exact {objective!r} fit for a {disc.mode} discriminator")
@@ -153,26 +157,6 @@ def discriminator_update(disc: Discriminator, p_data: Dist, q: Dist,
             "exactly one of p_data and q is zero")
     phi = disc.phi.copy()
     phi[real] = p_data.logp[real] - q.logp[real]
-    return disc.with_phi(phi)
-
-
-def _lipschitz_box_ascent(disc: Discriminator, p_data: Dist,
-                          q: Dist) -> Discriminator:
-    """Ascend the separation objective in the consecutive-difference
-    coordinates, where the Lipschitz constraint is a simple box.
-
-    With delta_j = phi_{j+1} - phi_j the objective E_pd[phi] - E_q[phi]
-    is linear: sum_j delta_j * (-F_j) with F the CDF of p_data - q.  Each
-    coordinate's maximizer is the box corner opposing sign(F_j), reached by
-    an exact line search (coordinates with F_j = 0 are left untouched).
-    """
-    f_cdf = np.add.accumulate(p_data.p - q.p)[:-1]
-    bounds = disc.clip * disc._gaps
-    delta = disc.phi[1:] - disc.phi[:-1]
-    delta = np.where(f_cdf > 0, -bounds, np.where(f_cdf < 0, bounds, delta))
-    phi = np.empty_like(disc.phi)
-    phi[0] = disc.phi[0]
-    phi[1:] = phi[0] + np.add.accumulate(delta)
     return disc.with_phi(phi)
 
 
@@ -194,29 +178,16 @@ def reweighted_discriminator_update(disc: Discriminator, p_data: Dist,
     """DISC_STEPS ascent steps of size DISC_STEP_SIZE where the fake side is
     the self-normalized reweighting of model samples by e^{f_phi}, refreshed
     each step."""
-    phi = disc.phi.copy()
     for _ in range(DISC_STEPS):
-        cur = disc.with_phi(phi)
-        grad = reweighted_discriminator_gradient(cur, p_data, p_theta)
-        cand = disc.with_phi(phi + DISC_STEP_SIZE * grad)
-        phi = cand.phi.copy()
-    return disc.with_phi(phi)
+        grad = reweighted_discriminator_gradient(disc, p_data, p_theta)
+        disc = disc.with_phi(disc.phi + DISC_STEP_SIZE * grad)
+    return disc
 
 
 def tilted_q(model: SoftmaxModel, disc: Discriminator) -> Dist:
     """q = p_theta e^{f_phi} / Z, the teacher at alpha = beta = 1 with
     f = f_phi."""
     return teacher_closed_form(model.dist(), disc.f_values(), 1.0, 1.0)
-
-
-def _critic_gap_and_variance(critic: Discriminator, p_data: Dist,
-                             p_theta: Dist):
-    """E_pd[phi] - E_p[phi] and Var_p(phi) of a fitted Lipschitz critic: the
-    two terms of the W-GAN Polyak step.  For the exact critic the gap is
-    clip * W1(p_theta, p_data), by 1-D LP duality."""
-    mean_phi = p_theta.expect(critic.phi)
-    var = p_theta.expect((critic.phi - mean_phi) ** 2)
-    return p_data.expect(critic.phi) - mean_phi, var
 
 
 @dataclass
@@ -234,57 +205,54 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
     Each iteration moves p_theta by one probability-functional-descent step
     (Chu, Blanchet & Glynn, ICML 2019), p_theta exp(-eta psi) / Z: the teacher
     at alpha = beta = 1 with f = -eta psi, along the recipe's influence
-    function psi at the current p_theta:
+    function psi at the current p_theta.  The vanilla GAN and the W-GAN take
+    it in closed form, psi = g - mean(g) with g = divergence_grad_q(D,
+    p_theta, p_data), and keep no discriminator in the loop:
 
-      recipe          discriminator             psi                 eta
-      "vanilla_gan"   none in the loop; psi     0.5 log(1 - sigma*), MODEL_STEP_SIZE
-                      is the JS gradient in p,  centred, with
-                      divergence_grad_q         sigma* = p_d / (p_d + p)
-      "wgan"          Lipschitz critic, fitted  mean(phi) - phi     W1 / Var_p(phi)
-                      to the separation
-      "ppo_gan"       classifier, DISC_STEPS    -f_phi              1
-                      reweighted ascent steps
+      recipe          D     discriminator in the loop   psi            eta
+      "vanilla_gan"   JS    none                        g - mean(g)    MODEL_STEP_SIZE
+      "wgan"          W1    none                        g - mean(g)    W1 / Var_p(g)
+      "ppo_gan"       -     classifier, DISC_STEPS      -f_phi         1
+                            reweighted ascent steps
 
-    The W-GAN step is Polyak's (Polyak 1987): the exact critic's gap
-    E_pd[phi] - E_p[phi] is W1, and under the tilt p e^{eta phi} / Z it falls
-    at rate Var_p(phi), so eta = W1 / Var_p(phi) closes the linearised gap; it
-    does not depend on coords.  When the gap or the variance is not positive
-    the critic sees no separation and the loop ends, converged if the TV is
-    within TV_TOL.  The PPO-GAN step at eta = 1 is the exact student fit to the
-    tilt q = p_theta e^f / Z.  The returned model is built once, from the
-    final p_theta.
+    The JS gradient g is 0.5 log(1 - sigma*) with the exact classifier
+    sigma* = p_d / (p_d + p).  The W1 gradient g is, up to a constant, minus
+    the exact critic at clip 1 (`discriminator_update`), so
+    W1 = E_p[g] - E_pd[g] by 1-D LP duality, and under the tilt
+    p e^{-eta g} / Z that gap falls at rate Var_p(g); the
+    W-GAN step is Polyak's (Polyak 1987), eta = W1 / Var_p(g), which closes
+    the linearised gap and does not depend on coords.  When the gap or the
+    variance is not positive there is no separation and the loop ends,
+    converged if the TV is within TV_TOL.  The PPO-GAN step at eta = 1 is the
+    exact student fit to the tilt q = p_theta e^f / Z.  The returned model is
+    built once, from the final p_theta.
 
     After the loop the discriminator is fitted exactly to the final model:
     the vanilla-GAN classifier (which raises NonConvergence where exactly one
-    of p_data and p_theta is zero), the W-GAN critic by its box ascent.  The
-    trace records the divergence to p_data (JS, or W1 for "wgan").
+    of p_data and p_theta is zero), the W-GAN critic from zeros.  The trace
+    records the divergence to p_data (JS, or W1 for "wgan").
     """
     if recipe not in ("vanilla_gan", "wgan", "ppo_gan"):
         raise ValueError(f"unknown adversarial recipe {recipe!r}")
     n = p_data.size
-    if recipe == "wgan":
-        coords = np.arange(n, dtype=float) if coords is None else coords
-        disc = Discriminator(np.zeros(n), "lipschitz_critic", coords=coords)
-        div = DivergenceFn("w1", coords)
-    else:
-        disc = Discriminator(np.zeros(n), "classifier")
-        div = DivergenceFn("js")
+    div = DivergenceFn("w1", coords) if recipe == "wgan" else DivergenceFn("js")
+    disc = Discriminator(np.zeros(n), "classifier")
     trace = Trace()
     p_theta = model.dist()
     for it in range(1, iters + 1):
         if recipe == "ppo_gan":
             disc = reweighted_discriminator_update(disc, p_data, p_theta)
             psi, eta = -disc.f_values(), 1.0
-        elif recipe == "vanilla_gan":
-            psi = divergence_grad_q(div, p_theta, p_data)
-            psi, eta = psi - psi.mean(), MODEL_STEP_SIZE
-        else:  # wgan: the box ascent is exact, so it takes no steps
-            disc = discriminator_update(disc, p_data, p_theta)
-            w1, var = _critic_gap_and_variance(disc, p_data, p_theta)
-            if not (w1 > 0.0 and var > 0.0):  # the critic sees no separation
+        else:
+            g = divergence_grad_q(div, p_theta, p_data)
+            psi, eta = g - g.mean(), MODEL_STEP_SIZE
+        if recipe == "wgan":
+            mean_g = p_theta.expect(g)
+            w1, var = mean_g - p_data.expect(g), p_theta.expect((g - mean_g) ** 2)
+            if not (w1 > 0.0 and var > 0.0):  # no separation
                 trace.converged = p_theta.tv(p_data) <= TV_TOL
                 break
-            psi, eta = disc.phi.mean() - disc.phi, w1 / var
+            eta = w1 / var
         p_theta = teacher_closed_form(p_theta, -eta * psi, 1.0, 1.0)
         gap = divergence(div, p_theta, p_data)
         tv = p_theta.tv(p_data)
@@ -298,7 +266,7 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
         disc = discriminator_update(disc, p_data, p_theta,
                                     objective="classification")
     elif recipe == "wgan":
-        # refit the critic against the final model so its objective reflects
-        # the actual W1 gap of the returned pair
-        disc = discriminator_update(disc, p_data, p_theta)
+        disc = discriminator_update(
+            Discriminator(np.zeros(n), "lipschitz_critic", coords=coords),
+            p_data, p_theta)
     return AdversarialResult(model.with_theta(p_theta.logp), disc, trace)

@@ -15,8 +15,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .bundles import load_bundle
 from .divergence import NonConvergence
 from .models import ConditionalSoftmaxModel, SoftmaxModel
@@ -143,20 +141,11 @@ def _model_json(model) -> dict:
             "factor_sizes": list(model.domain.factor_sizes)}
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _write_outputs(out_dir: Path, cfg: dict, seed: int, result) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trace.csv").write_text(result.trace.to_csv())
     with open(out_dir / "trace.json", "w") as fh:
-        json.dump(result.trace.to_json_obj(), fh, indent=2,
-                  default=_json_default, sort_keys=True)
+        json.dump(result.trace.to_json_obj(), fh, indent=2, sort_keys=True)
     payload = _model_json(result.model)
     if result.final_dist is not None:
         payload["distribution"] = result.final_dist.p.tolist()
@@ -197,7 +186,7 @@ def cmd_check(args) -> int:
     bundle = _load_problem({}, args.problem)
     seed = _resolve_seed({}, args.seed)
     report = check_equivalence(args.recipe, oracle, bundle, args.tol, seed=seed)
-    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
+    print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK if report["passed"] else EXIT_MISMATCH
 
 

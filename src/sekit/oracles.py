@@ -167,6 +167,17 @@ def vanilla_gan(p_data: np.ndarray, theta0: np.ndarray, eta: float,
     return p, tvs
 
 
+def reweighted_classifier_gradient(p_data: np.ndarray, p_theta: np.ndarray,
+                                   phi: np.ndarray) -> np.ndarray:
+    """Gradient in phi of E_pd[log sigma(phi)] - E_q[log sigma(phi)] with the
+    importance-reweighted fake side q = p_theta sigma(phi) / Z held fixed:
+    (p_data - q) (1 - sigma(phi))."""
+    sigma = 1.0 / (1.0 + np.exp(-np.asarray(phi, dtype=float)))
+    q = np.asarray(p_theta, dtype=float) * sigma
+    q = q / q.sum()
+    return (np.asarray(p_data, dtype=float) - q) * (1.0 - sigma)
+
+
 def finite_difference_gradient(fn: Callable[[np.ndarray], float],
                                x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences, one coordinate at a time."""

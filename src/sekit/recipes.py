@@ -20,8 +20,7 @@ from scipy.special import logsumexp
 
 from . import oracles
 from .adversarial import (Discriminator, adversarial_run,
-                          reweighted_discriminator_gradient,
-                          discriminator_gradient, tilted_q)
+                          reweighted_discriminator_gradient)
 from .bundles import ProblemBundle
 from .core import Dist, Domain, safe_log
 from .experience import (ExperienceFn, f_active, f_data, f_data_raml,
@@ -531,17 +530,18 @@ def _check_wgan(bundle, seed, iters=3000):
 
 
 def _check_ppo_gan(bundle, seed):
-    """Reweighted-vs-explicit discriminator gradient identity on random pairs."""
+    """The reweighted discriminator gradient against its plain-numpy oracle
+    on random (model, classifier, target) triples."""
     rng = np.random.default_rng(seed)
     n = bundle.p_data.size
     worst, instances = 0.0, 100
     for _ in range(instances):
-        model = SoftmaxModel(rng.normal(size=n), Domain.of_size(n))
+        p_theta = SoftmaxModel(rng.normal(size=n), Domain.of_size(n)).dist()
         disc = Discriminator(rng.normal(size=n), "classifier")
         p_d = Dist.from_probs(rng.dirichlet(np.ones(n)))
-        g1 = reweighted_discriminator_gradient(disc, p_d, model.dist())
-        g2 = discriminator_gradient(disc, p_d, tilted_q(model, disc))
-        worst = max(worst, float(np.max(np.abs(g1 - g2))))
+        got = reweighted_discriminator_gradient(disc, p_d, p_theta)
+        want = oracles.reweighted_classifier_gradient(p_d.p, p_theta.p, disc.phi)
+        worst = max(worst, float(np.max(np.abs(got - want))))
     return worst, {"instances": instances}
 
 

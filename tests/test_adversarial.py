@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from sekit import adversarial, solver
-from sekit.adversarial import (Discriminator, ModeUnsupported,
-                               _critic_gap_and_variance,
-                               _lipschitz_box_ascent, _log_sigmoid,
+from sekit.adversarial import (Discriminator, ModeUnsupported, _log_sigmoid,
                                _project_lipschitz, _sigmoid, adversarial_run,
                                discriminator_gradient, discriminator_update,
                                reweighted_discriminator_gradient,
@@ -143,6 +141,24 @@ class TestLipschitzCritic:
         exact = w1(q, p_d, np.arange(n, dtype=float))
         assert obj == pytest.approx(exact, abs=1e-12)
 
+    def test_fit_attains_w1_and_carries_no_state(self, rng):
+        # from any warm critic the fit attains clip * W1, and it is the fit
+        # from zeros shifted by the warm phi_0: nothing else is kept
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(20):
+                n = int(rng.integers(2, 15))
+                p_d, q = mk(rng, n), mk(rng, n)
+                coords = np.cumsum(rng.uniform(0.1, 2.0, n))
+                clip = float(rng.uniform(0.5, 3.0))
+                warm = Discriminator(rng.normal(size=n) * 5.0,
+                                     "lipschitz_critic", clip, coords)
+                fit = discriminator_update(warm, p_d, q)
+                exact = brute_force_w1(q.p, p_d.p, coords)
+                assert abs(separation(fit, p_d, q) - clip * exact) <= 1e-9
+                cold = discriminator_update(warm.with_phi(np.zeros(n)), p_d, q)
+                assert np.max(np.abs(fit.phi - warm.phi[0] - cold.phi)) <= 1e-12
+
 
 class TestAdversarialRun:
     def test_vanilla_gan_converges(self, gan_target, rng):
@@ -182,8 +198,13 @@ class TestAdversarialRun:
 class TestWganPolyakStep:
     """eta = W1 / Var_p(phi): the exact critic's gap over its variance."""
 
+    @staticmethod
+    def _gap_and_variance(critic, p_d, p):
+        mean_phi = p.p @ critic.phi
+        return p_d.p @ critic.phi - mean_phi, p.p @ (critic.phi - mean_phi) ** 2
+
     def test_gap_is_w1(self, rng):
-        # 1-D LP duality: the box-ascent critic's gap is clip * W1
+        # 1-D LP duality: the exact critic's gap is clip * W1
         for _ in range(20):
             n = int(rng.integers(2, 15))
             p, p_d = mk(rng, n), mk(rng, n)
@@ -192,7 +213,7 @@ class TestWganPolyakStep:
             critic = discriminator_update(
                 Discriminator(np.zeros(n), "lipschitz_critic", clip, coords),
                 p_d, p)
-            gap, var = _critic_gap_and_variance(critic, p_d, p)
+            gap, var = self._gap_and_variance(critic, p_d, p)
             assert abs(gap / clip - brute_force_w1(p.p, p_d.p, coords)) <= 1e-9
             assert var > 0.0
 
@@ -204,7 +225,7 @@ class TestWganPolyakStep:
         for clip in (1.0, 2.5):
             critic = discriminator_update(
                 Discriminator(np.zeros(10), "lipschitz_critic", clip), gan_target, p)
-            gap, var = _critic_gap_and_variance(critic, gan_target, p)
+            gap, var = self._gap_and_variance(critic, gan_target, p)
             steps.append(gap / var * (critic.phi.mean() - critic.phi))
         assert np.max(np.abs(steps[1] - steps[0])) <= 1e-12
         theta = rng.normal(size=10) * 0.5
@@ -213,6 +234,24 @@ class TestWganPolyakStep:
                 for kw in ({}, {"coords": np.arange(10) * 3.0})]
         assert len(runs[0].trace.records) == len(runs[1].trace.records)
         assert np.max(np.abs(runs[1].model.theta - runs[0].model.theta)) <= 1e-12
+
+    @pytest.mark.parametrize("recipe", ["wgan", "vanilla_gan"])
+    def test_run_fits_the_discriminator_once(self, gan_target, rng,
+                                             monkeypatch, recipe):
+        # the loop steps on the closed-form gradient; only the returned
+        # discriminator is fitted, once, against the final model
+        calls = []
+        fit = adversarial.discriminator_update
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].mode)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(adversarial, "discriminator_update", counted)
+        model = SoftmaxModel(rng.normal(size=10) * 0.5, Domain.of_size(10))
+        res = adversarial_run(recipe, gan_target, model)
+        assert res.trace.converged and len(res.trace.records) > 1
+        assert calls == [res.discriminator.mode]
 
     def test_committed_target_converges(self):
         bundle = load_bundle(str(GAN_TARGET))
@@ -240,8 +279,8 @@ class TestWganPolyakStep:
     def test_no_separation_ends_the_loop(self):
         p_d = Dist.uniform(10)
         # model equal to the target: zero gap, converged with no step taken
-        res = adversarial_run("wgan", p_d, SoftmaxModel(np.zeros(10),
-                                                        Domain.of_size(10)))
+        model = SoftmaxModel(np.zeros(10), Domain.of_size(10))
+        res = adversarial_run("wgan", model.dist(), model)
         assert res.trace.converged and res.trace.records == []
         # a point mass: phi is constant on the model's support, so Var_p = 0
         # and no step can move it; the TV test reports the run unconverged
@@ -343,29 +382,6 @@ class TestHelpersBitForBit:
                 gaps = rng.uniform(0.1, 2.0, size=11)
                 assert np.array_equal(_bits(_project_lipschitz(phi, clip, gaps)),
                                       _bits(self._old_project(phi, clip, gaps)))
-
-    @pytest.mark.parametrize("with_coords", [False, True])
-    def test_lipschitz_box_ascent(self, rng, with_coords):
-        n = 11
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for _ in range(10):
-                coords = (np.cumsum(rng.uniform(0.1, 2.0, size=n))
-                          if with_coords else None)
-                gaps = np.diff(coords) if with_coords else np.ones(n - 1)
-                p_d, q = mk(rng, n), mk(rng, n)
-                disc = Discriminator(rng.normal(size=n), "lipschitz_critic",
-                                     0.7, coords)
-                f_cdf = np.cumsum(p_d.p - q.p)[:-1]
-                delta = np.diff(disc.phi)
-                delta = np.where(f_cdf > 0, -0.7 * gaps,
-                                 np.where(f_cdf < 0, 0.7 * gaps, delta))
-                ref = np.empty(n)
-                ref[0] = disc.phi[0]
-                ref[1:] = ref[0] + np.cumsum(delta)
-                ref = self._old_project(ref, 0.7, gaps)
-                got = _lipschitz_box_ascent(disc, p_d, q).phi
-                assert np.array_equal(_bits(got), _bits(ref))
 
     def test_w1(self, rng):
         with warnings.catch_warnings():

@@ -219,7 +219,9 @@ _BENCH_ONLY = {
     "visitation": "the mdp.visitation kernel timing; the engine calls "
                   "reward_and_visitation",
     "registry": "the smoke test's list of recipes; the CLI calls get_recipe",
-    "mw_update": "item 23 deletes it once item 21 drops its kernel timing",
+    "mw_update": "item 19 deletes it and moves its kernel timing onto "
+                 "mw_trajectory",
+    "tilted_q": "item 19 deletes it with its adversarial.tilted_q kernel",
     "raml_kernel": "item 21 moves the f_data_augmented timing onto "
                    "f_data_raml, then deletes it",
     "f_data_augmented": "item 21 moves its timing onto f_data_raml, then "
