@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dist
+from .core import BoundaryPoint, Dist, positive_int
 from .divergence import DivergenceFn, NonConvergence, divergence, divergence_grad_q
 from .models import SoftmaxModel
 from .solver import ModeUnsupported, Trace, teacher_closed_form
@@ -230,15 +230,21 @@ def adversarial_run(recipe: str, p_data: Dist, model: SoftmaxModel,
     After the loop the discriminator is fitted exactly to the final model:
     the vanilla-GAN classifier (which raises NonConvergence where exactly one
     of p_data and p_theta is zero), the W-GAN critic from zeros.  The trace
-    records the divergence to p_data (JS, or W1 for "wgan").
+    records the divergence to p_data (JS, or W1 for "wgan").  A model that
+    is 0 where p_data is not raises BoundaryPoint before the loop.
     """
     if recipe not in ("vanilla_gan", "wgan", "ppo_gan"):
         raise ValueError(f"unknown adversarial recipe {recipe!r}")
+    iters = positive_int(iters, "iters")
+    p_theta = model.dist()
+    stuck = np.flatnonzero((p_theta.p == 0) & (p_data.p > 0))
+    if stuck.size:
+        raise BoundaryPoint(f"p_theta is 0 at t = {stuck[0]}, where p_data "
+                            "is not: no multiplicative step puts mass there")
     n = p_data.size
     div = DivergenceFn("w1", coords) if recipe == "wgan" else DivergenceFn("js")
     disc = Discriminator(np.zeros(n), "classifier")
     trace = Trace()
-    p_theta = model.dist()
     for it in range(1, iters + 1):
         if recipe == "ppo_gan":
             disc = reweighted_discriminator_update(disc, p_data, p_theta)

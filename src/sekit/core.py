@@ -7,6 +7,7 @@ citizens.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -122,6 +123,17 @@ def integers(value) -> np.ndarray:
     if bad.any():
         raise TypeError(f"{arr[bad].flat[0]:g} is not an integer")
     return arr.astype(int)
+
+
+def positive_int(value, name: str) -> int:
+    """`value` as an int >= 1 (2.0 is 2), or a ValueError naming `name`."""
+    try:
+        n = operator.index(integers(value))
+    except (TypeError, ValueError):
+        n = 0
+    if n < 1:
+        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+    return n
 
 
 class Dist:

@@ -30,8 +30,8 @@ from .mdp import (exact_policy_gradient, f_reward, q_function,
                   reward_and_visitation)
 from .models import (ConditionalSoftmaxModel, MixtureModel, SoftmaxModel,
                      grad_expected_log_prob)
-from .solver import (DEFAULT_EPSILON, SEConfig, Segment, Trace, mw_trajectory,
-                     run, schedule, teacher_closed_form)
+from .solver import (DEFAULT_EPSILON, SEConfig, Trace, mw_trajectory, run,
+                     schedule, teacher_closed_form)
 
 
 class NotFound(KeyError):
@@ -156,13 +156,12 @@ def _run_reweighting(config, bundle, seed) -> RecipeResult:
 
 def _run_augmentation(config, bundle, seed) -> RecipeResult:
     fn = f_data_raml(bundle.dataset, bundle.payoff)
-    result = _mle_like(config, fn)
-    # first teacher from a uniform model: the model term is constant, so this
-    # is the pure exponentiated-payoff mixture
-    uniform = SoftmaxModel.zeros(fn.domain)
-    q0 = teacher_closed_form(uniform.dist(), fn.values(), config.alpha, config.beta)
-    result.extras = {"first_teacher": q0}
-    return result
+    teachers = []  # the first, from the uniform start, is the payoff mixture
+    model, trace = run(replace(config, experience=fn),
+                       SoftmaxModel.zeros(fn.domain), fn.domain,
+                       callback=lambda n, q, m: teachers.append(q))
+    return RecipeResult(model, trace, model.dist(),
+                        extras={"first_teacher": teachers[0]})
 
 
 def _run_active(config, bundle, seed) -> RecipeResult:
@@ -294,13 +293,10 @@ def _run_interpolation(config, bundle, seed, iters_per_stage=10) -> RecipeResult
     fn_aug = f_data_raml(bundle.dataset, bundle.payoff)
     fn_reward = ExperienceFn.from_vector(dom, reward)
     k = iters_per_stage
-    plan = [
-        Segment(1, k, {"experience": fn_data, "beta": DEFAULT_EPSILON}),
-        Segment(k + 1, 2 * k, {"experience": fn_aug, "beta": DEFAULT_EPSILON}),
-        Segment(2 * k + 1, 3 * k, {"experience": fn_reward, "beta": 1.0}),
-    ]
-    model = SoftmaxModel.zeros(dom)
-    model, trace = schedule(config, plan, model, dom)
+    stages = [(k, {"experience": fn_data, "beta": DEFAULT_EPSILON}),
+              (k, {"experience": fn_aug, "beta": DEFAULT_EPSILON}),
+              (k, {"experience": fn_reward, "beta": 1.0})]
+    model, trace = schedule(config, stages, SoftmaxModel.zeros(dom), dom)
     return RecipeResult(model, trace, model.dist())
 
 
@@ -667,5 +663,6 @@ def check_equivalence(recipe: str, oracle: str, bundle: ProblemBundle,
     rec = get_recipe(recipe)
     if oracle not in rec.checks:
         raise IncompatiblePair(f"no equivalence contract for {recipe!r} vs {oracle!r}")
+    bundle.require(*rec.requires)
     deviation, details = rec.checks[oracle](bundle, seed, **params)
     return _report(recipe, oracle, rec.contract, tolerance, deviation, details)

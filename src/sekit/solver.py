@@ -5,8 +5,8 @@
 with the closed-form teacher (and its per-x form for a fixed x marginal), the
 exact student of every model family, the multiplicative-weights
 trajectory over all rounds in one log-space pass, and the dynamic schedule
-that interpolates between configurations.
-"""
+that interpolates between configurations, one `run` per stage: `run` is
+the one loop that steps the objective."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (AllNegInfinity, Dist, Domain, entropy, logsumexp,
-                   normalize_log)
+                   normalize_log, positive_int)
 from .divergence import CE, divergence
 from .experience import ExperienceFn
 from .models import ConditionalSoftmaxModel, MixtureModel, Model, exact_fit
@@ -24,10 +24,6 @@ DEFAULT_EPSILON = 1e-8  # the "very small positive" beta of the MLE recipes
 
 
 class ModeUnsupported(ValueError):
-    pass
-
-
-class PlanGap(ValueError):
     pass
 
 
@@ -52,6 +48,8 @@ class SEConfig:
             raise ValueError("beta must be finite and >= 0")
         if self.q_decomposition not in ("none", "fixed_x_marginal"):
             raise ValueError(f"unknown q_decomposition {self.q_decomposition!r}")
+        object.__setattr__(self, "max_iters",
+                           positive_int(self.max_iters, "max_iters"))
 
 
 @dataclass
@@ -208,7 +206,7 @@ def _decomposed_teacher(config: SEConfig, model: Model, f_vals: np.ndarray,
 
 def _step(config: SEConfig, model: Model, domain: Domain,
           p_x: Optional[np.ndarray], reference: Optional[Dist],
-          trace: Trace, iteration: int, tag: str = "") -> Tuple[Model, Dist, float]:
+          trace: Trace, iteration: int) -> Tuple[Model, Dist, float]:
     """One teacher-student iteration, recorded in `trace`.  Returns the new
     model, the teacher q and the objective total at the old model."""
     f_vals = (config.experience.values(model) if config.experience is not None
@@ -228,7 +226,7 @@ def _step(config: SEConfig, model: Model, domain: Domain,
     if reference is not None:
         tv = model_dist(model, p_x).tv(reference)
     trace.add(iteration=iteration, neg_alpha_h=neg_h, beta_d=d_term,
-              neg_e_q_f=neg_f, total=total, tv_to_ref=tv, tag=tag)
+              neg_e_q_f=neg_f, total=total, tv_to_ref=tv)
     return model, q, total
 
 
@@ -312,32 +310,17 @@ def mw_update(weights: Dist, rewards: np.ndarray, alpha: float) -> Dist:
 # Dynamic schedule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Segment:
-    """The outer iterations start..end, both included, with config overrides."""
-
-    start: int
-    end: int
-    overrides: dict = field(default_factory=dict)
-
-
-def schedule(base: SEConfig, plan: Sequence[Segment], model: Model,
+def schedule(base: SEConfig, stages: Sequence[Tuple[int, dict]], model: Model,
              domain: Domain) -> Tuple[Model, Trace]:
-    """Run the dynamic outer loop: at each tau the active segment's config
-    (experience, weights, ...) drives one teacher-student step.  Segments
-    are contiguous; each runs every tau from its start to its end."""
-    plan = list(plan)
-    if not plan:
-        raise PlanGap("empty plan")
-    expected = plan[0].start
-    for seg in plan:
-        if seg.start != expected or seg.end < seg.start:
-            raise PlanGap(f"plan segments are not contiguous at tau = {seg.start}")
-        expected = seg.end + 1
+    """Each `(iterations, overrides)` stage is one `run` of exactly
+    `iterations` steps at `base` with the overrides, from the model the
+    stage before left; records are numbered on and tagged "start-end"."""
     trace = Trace()
-    for seg in plan:
-        config = replace(base, **seg.overrides)
-        for tau in range(seg.start, seg.end + 1):
-            model, _, _ = _step(config, model, domain, None, None, trace,
-                                tau, f"{seg.start}-{seg.end}")
+    for iterations, overrides in stages:
+        config = replace(base, max_iters=iterations, objective_tol=0.0, **overrides)
+        model, part = run(config, model, domain)
+        start = len(trace.records) + 1
+        tag = f"{start}-{start + len(part.records) - 1}"
+        trace.records += [replace(r, iteration=r.iteration + start - 1, tag=tag)
+                          for r in part.records]
     return model, trace

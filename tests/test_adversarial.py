@@ -11,7 +11,7 @@ from sekit.adversarial import (Discriminator, ModeUnsupported, _log_sigmoid,
                                reweighted_discriminator_gradient,
                                reweighted_discriminator_update, tilted_q)
 from sekit.bundles import load_bundle
-from sekit.core import Dist, Domain
+from sekit.core import BoundaryPoint, Dist, Domain
 from sekit.divergence import NonConvergence, w1
 from sekit.models import SoftmaxModel
 from sekit.oracles import brute_force_w1, finite_difference_gradient, gan_optimum
@@ -194,6 +194,27 @@ class TestAdversarialRun:
         with pytest.raises(ValueError):
             adversarial_run("quantum_gan", gan_target, model)
 
+    @pytest.mark.parametrize("recipe", ["vanilla_gan", "wgan", "ppo_gan"])
+    def test_model_zero_where_the_target_is_not_raises(self, recipe):
+        # a multiplicative step keeps a zero at zero: the vanilla GAN used to
+        # raise an unnamed gradient error, the other two ran to their cap
+        theta = np.zeros(10)
+        theta[[3, 7]] = -np.inf
+        model = SoftmaxModel(theta, Domain.of_size(10))
+        with pytest.raises(BoundaryPoint, match="p_theta is 0 at t = 3,"):
+            adversarial_run(recipe, Dist.uniform(10), model, iters=50)
+
+    @pytest.mark.parametrize("recipe", ["wgan", "ppo_gan"])
+    def test_model_zero_where_the_target_is_zero_runs(self, recipe):
+        # a zero that the target shares is no boundary for these steps (the
+        # vanilla GAN's JS gradient still needs an interior p_theta)
+        theta = np.zeros(10)
+        theta[3] = -np.inf
+        p_data = Dist.from_probs(np.r_[np.full(3, 0.1), 0.0, np.full(6, 0.7 / 6)])
+        res = adversarial_run(recipe, p_data, SoftmaxModel(theta, Domain.of_size(10)),
+                              iters=3)
+        assert len(res.trace.records) >= 1
+
 
 class TestWganPolyakStep:
     """eta = W1 / Var_p(phi): the exact critic's gap over its variance."""
@@ -282,13 +303,12 @@ class TestWganPolyakStep:
         model = SoftmaxModel(np.zeros(10), Domain.of_size(10))
         res = adversarial_run("wgan", model.dist(), model)
         assert res.trace.converged and res.trace.records == []
-        # a point mass: phi is constant on the model's support, so Var_p = 0
-        # and no step can move it; the TV test reports the run unconverged
+        # a point mass: no multiplicative step can move it, and the run
+        # says so by name before the loop instead of ending unconverged
         theta = np.full(10, -np.inf)
         theta[0] = 0.0
-        res = adversarial_run("wgan", p_d, SoftmaxModel(theta, Domain.of_size(10)))
-        assert not res.trace.converged and res.trace.records == []
-        assert np.array_equal(res.model.theta, theta)
+        with pytest.raises(BoundaryPoint, match="t = 1,"):
+            adversarial_run("wgan", p_d, SoftmaxModel(theta, Domain.of_size(10)))
 
     def test_check_fails_an_unconverged_run(self):
         bundle = load_bundle(str(GAN_TARGET))

@@ -1,4 +1,5 @@
 import csv
+import glob
 import json
 import os
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from sekit.cli import main
+from sekit.recipes import registry
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -237,6 +239,29 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert word in err[0]
 
+    @pytest.mark.parametrize("recipe, bundle, params, message", [
+        ("unified-em", "mixture.json", {"iters": 0},
+         "error: max_iters must be a whole number >= 1, got 0"),
+        ("unified-em", "mixture.json", {"iters": -1},
+         "error: max_iters must be a whole number >= 1, got -1"),
+        ("unified-em", "mixture.json", {"iters": 2.5},
+         "error: max_iters must be a whole number >= 1, got 2.5"),
+        ("wgan", "gan_target.json", {"iters": 2.5},
+         "error: iters must be a whole number >= 1, got 2.5"),
+        ("interpolation-schedule", "interp.json", {"iters_per_stage": 0},
+         "error: max_iters must be a whole number >= 1, got 0"),
+    ])
+    def test_bad_iteration_count_exits_one(self, tmp_path, capsys, recipe,
+                                           bundle, params, message):
+        cfg = {"recipe": recipe, "seed": 0, "params": params,
+               "problem": os.path.abspath(os.path.join(CONFIG_DIR, bundle))}
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tmp_path / "run.json"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
     def test_unknown_param_exits_one(self, workspace, capsys):
         cfg = {"recipe": "supervised-mle", "problem": "toy.json",
                "params": {"iters": 3}}
@@ -291,6 +316,30 @@ class TestCheck:
                      "--tol", "1e-12"])
         assert code == 1
         assert "rewards" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("recipe", [r.name for r in registry()])
+    def test_every_configs_bundle_ends_cleanly(self, recipe, capsys):
+        # on each bundle in configs/ a check passes (0), fails (3) or says in
+        # one error line why it cannot run (1); none ends in a traceback
+        for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))):
+            with open(path) as fh:
+                if "recipe" in json.load(fh):
+                    continue  # a run config, not a bundle
+            code = main(["check", "--recipe", recipe, "--problem", path,
+                         "--tol", "1e-6"])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 3), path
+            if code == 1:
+                assert len(err.splitlines()) == 1, path
+                assert err.startswith("error: "), path
+            else:
+                assert json.loads(out)["recipe"] == recipe
+
+    def test_check_names_a_missing_bundle_field(self, capsys):
+        code = main(["check", "--recipe", "ppo-gan", "--problem",
+                     os.path.join(CONFIG_DIR, "experts.json"), "--tol", "1e-6"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: bundle is missing: p_data\n"
 
     def test_unknown_recipe_exit_one(self, workspace):
         assert main(["check", "--recipe", "alchemy",

@@ -23,6 +23,11 @@ EXPECTED_NAMES = {
 }
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+# a bundle in configs/ that each iterated recipe runs on
+RUN_BUNDLES = {"unified-em": "mixture.json", "unsupervised-mle": "mixture.json",
+               "interpolation-schedule": "interp.json",
+               "vanilla-gan": "gan_target.json", "wgan": "gan_target.json",
+               "ppo-gan": "gan_target.json"}
 
 
 class TestRegistry:
@@ -92,6 +97,34 @@ class TestValidation:
     def test_active_learning_reads_the_label_count_from_its_labels(self):
         with pytest.raises(IncompatiblePair, match="no parameter 'n_labels'"):
             run_recipe("active-learning", ProblemBundle(), n_labels=3)
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("recipe, param, field", [
+        ("unified-em", "iters", "max_iters"),
+        ("unsupervised-mle", "iters", "max_iters"),
+        ("interpolation-schedule", "iters_per_stage", "max_iters"),
+        ("vanilla-gan", "iters", "iters"),
+        ("wgan", "iters", "iters"),
+        ("ppo-gan", "iters", "iters"),
+    ])
+    def test_iteration_count_is_a_whole_number_of_at_least_one(
+            self, recipe, param, field, value):
+        # 0 or -1 used to run nothing and 2.5 to die in range()
+        bundle = load_bundle(os.path.join(CONFIG_DIR, RUN_BUNDLES[recipe]))
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be a whole number >= 1, "
+                                 f"got {value!r}$"):
+            run_recipe(recipe, bundle, 0, **{param: value})
+
+    @pytest.mark.parametrize("recipe, param", [
+        ("unified-em", "iters"), ("wgan", "iters"),
+        ("interpolation-schedule", "iters_per_stage")])
+    def test_integral_float_iteration_count_runs_as_an_int(self, recipe, param):
+        bundle = load_bundle(os.path.join(CONFIG_DIR, RUN_BUNDLES[recipe]))
+        got = run_recipe(recipe, bundle, 0, **{param: 2.0})
+        want = run_recipe(recipe, bundle, 0, **{param: 2})
+        assert got.trace.to_csv() == want.trace.to_csv()
+        assert got.trace.to_json_obj() == want.trace.to_json_obj()
 
     def test_negative_alpha_raises(self, mixture_bundle):
         # at alpha < 0 the teacher would anti-tilt: EM must not run with it

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,9 @@ from sekit.core import AllNegInfinity, Dist, Domain, normalize_log
 from sekit.experience import ExperienceFn
 from sekit.models import (ConditionalSoftmaxModel, MixtureModel, SoftmaxModel,
                           exact_fit)
-from sekit.solver import (PlanGap, SEConfig, Segment, Trace,
-                          _decomposed_teacher, _same_parameters, _step,
-                          _tilt_scores, mw_trajectory, mw_update, run,
-                          schedule, teacher_closed_form)
+from sekit.solver import (SEConfig, Trace, _decomposed_teacher,
+                          _same_parameters, _step, _tilt_scores, mw_trajectory,
+                          mw_update, run, schedule, teacher_closed_form)
 
 
 def mk(raw):
@@ -30,6 +30,15 @@ class TestSEConfig:
                 SEConfig(alpha=alpha)
         with pytest.raises(ValueError):
             SEConfig(q_decomposition="fixed_x_marginals")
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, np.nan, np.inf, -np.inf])
+    def test_max_iters_is_a_whole_number_of_at_least_one(self, value):
+        with pytest.raises(ValueError, match=f"max_iters .* got {value!r}"):
+            SEConfig(max_iters=value)
+
+    def test_integral_max_iters_is_stored_as_an_int(self):
+        cfg = SEConfig(max_iters=2.0)
+        assert cfg.max_iters == 2 and type(cfg.max_iters) is int
 
 
 class TestClosedFormTeacher:
@@ -483,23 +492,61 @@ class TestMW:
 
 
 class TestSchedule:
-    def test_contiguity_enforced(self, toy_dataset):
+    def test_runs_stages(self, toy_dataset):
         from sekit.experience import f_data
         fn = f_data(toy_dataset)
         base = SEConfig(beta=1e-8, experience=fn)
         model = SoftmaxModel.zeros(fn.domain)
-        with pytest.raises(PlanGap):
-            schedule(base, [Segment(1, 3), Segment(5, 7)], model, fn.domain)
-        with pytest.raises(PlanGap):
-            schedule(base, [], model, fn.domain)
-
-    def test_runs_segments(self, toy_dataset):
-        from sekit.experience import f_data
-        fn = f_data(toy_dataset)
-        base = SEConfig(beta=1e-8, experience=fn)
-        model = SoftmaxModel.zeros(fn.domain)
-        _, trace = schedule(base, [Segment(1, 3), Segment(4, 6, {"alpha": 0.5})],
+        _, trace = schedule(base, [(3, {}), (3, {"alpha": 0.5})],
                             model, fn.domain)
         assert [r.iteration for r in trace.records] == [1, 2, 3, 4, 5, 6]
-        assert trace.records[0].tag == "1-3"
-        assert trace.records[-1].tag == "4-6"
+        assert [r.tag for r in trace.records] == ["1-3"] * 3 + ["4-6"] * 3
+        assert trace.converged and trace.diagnostics == {}
+
+    @pytest.mark.parametrize("iterations", [0, -1, 2.5])
+    def test_stage_length_is_a_whole_number_of_at_least_one(self, toy_dataset,
+                                                             iterations):
+        from sekit.experience import f_data
+        fn = f_data(toy_dataset)
+        with pytest.raises(ValueError, match="max_iters"):
+            schedule(SEConfig(experience=fn), [(2, {}), (iterations, {})],
+                     SoftmaxModel.zeros(fn.domain), fn.domain)
+
+    def test_stages_are_the_per_tau_loop_bit_for_bit(self, toy_dataset, rng):
+        # the per-tau loop the stages replaced, kept here as the reference
+        def reference(base, plan, model, domain):
+            trace = Trace()
+            for start, end, overrides in plan:
+                config = replace(base, **overrides)
+                for tau in range(start, end + 1):
+                    model, _, _ = _step(config, model, domain, None, None,
+                                        trace, tau)
+                    trace.records[-1].tag = f"{start}-{end}"
+            return model, trace
+
+        from sekit.experience import f_data
+        fn_data = f_data(toy_dataset)
+        dom = fn_data.domain
+        fn_reward = ExperienceFn.from_vector(dom, rng.normal(size=dom.size))
+        base = SEConfig(beta=1e-8, experience=fn_data)
+        stage_lists = [
+            [(4, {"alpha": 0.5}), (2, {"experience": fn_reward, "beta": 1.0})],
+            [(1, {}), (3, {"experience": fn_reward, "alpha": 2.0}),
+             (5, {"experience": fn_data, "alpha": 1.0, "beta": 0.0})],
+        ]
+        for stages in stage_lists:
+            plan, start = [], 1
+            for iterations, overrides in stages:
+                plan.append((start, start + iterations - 1, overrides))
+                start += iterations
+            start_model = SoftmaxModel(rng.normal(size=dom.size), dom)
+            got_model, got = schedule(base, stages, start_model, dom)
+            want_model, want = reference(base, plan, start_model, dom)
+            assert len(got.records) == len(want.records)
+            for a, b in zip(got.records, want.records):
+                assert all(np.array_equal(x, y) for x, y in
+                           zip(astuple(a), astuple(b)))
+            assert np.array_equal(got_model.theta.view(np.uint64),
+                                  want_model.theta.view(np.uint64))
+            assert (got.converged, got.diagnostics) == (want.converged,
+                                                        want.diagnostics)

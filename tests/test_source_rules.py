@@ -11,8 +11,9 @@ import alone raises every run's peak memory and set-up time; the MDP kernels
 read P's sparse view as plain numpy arrays), one linear-solve path:
 `scipy.linalg` in `mdp.py` only and no `np.linalg.solve` or `np.linalg.inv`
 outside the oracles, one tilt: `normalize_log` is called only by `core`
-and `solver`, so every other exponential tilt goes through the teacher, and
-one unvalidated `Dist`: only `core` builds a `Dist` that skips validation."""
+and `solver`, so every other exponential tilt goes through the teacher,
+one unvalidated `Dist`: only `core` builds a `Dist` that skips validation,
+and one teacher-student loop: only `solver.run` calls `_step`."""
 import ast
 import dataclasses
 from fnmatch import fnmatch
@@ -435,3 +436,14 @@ def test_only_core_builds_an_unvalidated_dist():
            if isinstance(node, ast.Attribute)
            and node.attr in ("_unchecked", "__new__")]
     assert bad == []
+
+
+def test_only_run_calls_step():
+    # run is the one loop that steps the objective; a schedule is a sequence
+    # of runs, and a second call site would be a second loop to keep in step
+    calls = [f"{path.stem}.{getattr(top, 'name', '?')}:{node.lineno}"
+             for path in MODULES for top in _parse(path).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call) and "_step" in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert [c.split(":")[0] for c in calls] == ["solver.run"], calls
